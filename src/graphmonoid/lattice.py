@@ -2,13 +2,17 @@
 
 These subsets classify the order-ideals of the graph's monoid: a class
 lies in the ideal attached to a subset exactly when its support does.
-The module enumerates the lattice, builds quotient and restriction
-graphs, produces a composition series whose step quotients are simple,
-and classifies those simple quotients by their loop structure.
+The module enumerates the lattice by walking up from the empty set
+through covering sets, one closure per vertex for each set, so the cost
+follows the lattice's size rather than the 2^n subsets.  It also builds
+quotient and restriction graphs, produces a composition series whose
+step quotients are simple, and classifies those simple quotients by
+their loop structure.
 """
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -24,6 +28,7 @@ from .graphs import (
     is_hereditary,
     simple_loops,
     sinks,
+    tree,
 )
 from .elements import MonoidElement
 
@@ -70,23 +75,63 @@ def meet(a: HSatSet, b: HSatSet) -> HSatSet:
     return HSatSet(a.graph, a.members & b.members)
 
 
-def enumerate_hsat(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> tuple[HSatSet, ...]:
-    """All hereditary saturated subsets, ordered by size then name.
+def _hsat_covers(g: Graph, cap: int) -> dict[VertexSet, list[VertexSet]]:
+    """Every hereditary saturated set, mapped to its upper covers.
 
-    Scans the full powerset, so the vertex count is capped; raise the cap
-    explicitly for larger graphs if the wait is acceptable.
+    A breadth-first search upward from the bottom set.  For a closed set
+    C, each vertex v outside it generates a closed set, the closure of C
+    and ``tree(v)``; the minimal ones among those are exactly C's covers.
+    A result is minimal when every one of its vertices outside C
+    generates it (a smaller result would be generated by one of them),
+    so counting generators finds the covers.  Each closure saturates
+    through a worklist: C is already saturated, so only vertices with an
+    edge into the added part can join.
     """
-    names = sorted(g.vertices)
+    names = g.vertex_order
     if len(names) > cap:
         raise CapExceeded(
             f"lattice enumeration over {len(names)} vertices exceeds cap {cap}"
         )
-    found = []
-    for mask in range(1 << len(names)):
-        members = frozenset(names[i] for i in range(len(names)) if mask >> i & 1)
-        if is_hereditary(g, members) and _saturate(g, members) == members:
-            found.append(members)
-    found.sort(key=_set_key)
+    preds: dict[str, set[str]] = {v: set() for v in names}
+    for s, t in g.edges:
+        preds[t].add(s)
+    targets = {v: frozenset(g.ranges_from(v)) for v in names}
+    trees = {v: tree(g, v) for v in names}
+
+    def closure(base: VertexSet, v: str) -> VertexSet:
+        grown = set(base | trees[v])
+        work = [u for w in trees[v] - base for u in preds[w]]
+        while work:
+            u = work.pop()
+            if u not in grown and targets[u] <= grown:
+                grown.add(u)
+                work.extend(preds[u])
+        return frozenset(grown)
+
+    bottom = _saturate(g, frozenset())
+    covers: dict[VertexSet, list[VertexSet]] = {}
+    queue = deque([bottom])
+    while queue:
+        current = queue.popleft()
+        if current in covers:
+            continue
+        found = Counter(closure(current, v) for v in names if v not in current)
+        ups = [d for d, k in found.items() if k == len(d) - len(current)]
+        covers[current] = ups
+        queue.extend(ups)
+    return covers
+
+
+def enumerate_hsat(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> tuple[HSatSet, ...]:
+    """All hereditary saturated subsets, ordered by size then name.
+
+    Walks the lattice upward through its covers, computing at most one
+    closure per vertex for each set found, so the cost follows the
+    number of sets rather than the 2^n subsets.  The vertex count is
+    still capped, because the output itself can have 2^n sets (an
+    edgeless graph); raise the cap explicitly for larger graphs.
+    """
+    found = sorted(_hsat_covers(g, cap), key=_set_key)
     return tuple(HSatSet(g, m) for m in found)
 
 
@@ -102,28 +147,18 @@ class LatticeReport:
 
 
 def lattice_report(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> LatticeReport:
-    sets = enumerate_hsat(g, cap)
-    index = {s.members: i for i, s in enumerate(sets)}
-    n = len(sets)
-    hasse = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not sets[i].members < sets[j].members:
-                continue
-            if any(
-                sets[i].members < sets[k].members < sets[j].members
-                for k in range(n)
-            ):
-                continue
-            hasse.append((i, j))
-    joins = tuple(
-        tuple(index[join(sets[i], sets[j]).members] for j in range(n))
-        for i in range(n)
-    )
-    meets = tuple(
-        tuple(index[meet(sets[i], sets[j]).members] for j in range(n))
-        for i in range(n)
-    )
+    covers = _hsat_covers(g, cap)
+    members = sorted(covers, key=_set_key)
+    sets = tuple(HSatSet(g, m) for m in members)
+    index = {m: i for i, m in enumerate(members)}
+    hasse = sorted((index[c], index[d]) for c, ups in covers.items() for d in ups)
+
+    def join_index(a: VertexSet, b: VertexSet) -> int:
+        found = index.get(a | b)
+        return index[_saturate(g, a | b)] if found is None else found
+
+    joins = tuple(tuple(join_index(a, b) for b in members) for a in members)
+    meets = tuple(tuple(index[a & b] for b in members) for a in members)
     return LatticeReport(g, sets, tuple(hasse), joins, meets)
 
 
@@ -240,18 +275,10 @@ def composition_series(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> CompositionS
     """
     if not g.vertices:
         raise ValueError("empty graph has no composition series")
-    sets = enumerate_hsat(g, cap)
-    chain = [sets[0]]
-    everything = frozenset(g.vertices)
-    while chain[-1].members != everything:
-        current = chain[-1].members
-        above = [s for s in sets if current < s.members]
-        covers = [
-            s
-            for s in above
-            if not any(current < t.members < s.members for t in above)
-        ]
-        chain.append(min(covers, key=HSatSet.sort_key))
+    covers = _hsat_covers(g, cap)
+    chain = [HSatSet(g, min(covers, key=_set_key))]
+    while covers[chain[-1].members]:
+        chain.append(HSatSet(g, min(covers[chain[-1].members], key=_set_key)))
     steps = []
     for lower, upper in zip(chain, chain[1:]):
         sub = _step_graph(g, lower, upper)

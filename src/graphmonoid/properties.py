@@ -12,6 +12,7 @@ claiming the property.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
@@ -454,44 +455,42 @@ def check_refinement(
             total = model.add_classes(r1, r2)
             if total is not None:
                 groups.setdefault(total, []).append((r1, r2))
-    tried = 0
+    quads = (
+        (left, right)
+        for pairs in groups.values()
+        for i, left in enumerate(pairs)
+        for right in pairs[i:]
+    )
     saw_unknown = False
-    for pairs in groups.values():
-        for i, left in enumerate(pairs):
-            for right in pairs[i:]:
-                if tried >= quad_cap:
-                    break
-                tried += 1
-                a1, a2 = model.rep(left[0]), model.rep(left[1])
-                b1, b2 = model.rep(right[0]), model.rep(right[1])
-                if not isinstance(
-                    decide_eq(a1 + a2, b1 + b2, _CONFIRM_DEPTH), Equal
-                ):
-                    saw_unknown = True
-                    continue
-                out = refine(a1, a2, b1, b2, _CONFIRM_DEPTH)
-                if isinstance(out, Unknown):
-                    saw_unknown = True
-                    continue
-                t = out.table
-                checks = [
-                    (t[0][0] + t[0][1], a1),
-                    (t[1][0] + t[1][1], a2),
-                    (t[0][0] + t[1][0], b1),
-                    (t[0][1] + t[1][1], b2),
-                ]
-                for got, want in checks:
-                    verdict = decide_eq(got, want, _CONFIRM_DEPTH)
-                    if isinstance(verdict, Distinct):
-                        return PropertyReport(
-                            name,
-                            "counterexample",
-                            bounds,
-                            (a1, a2, b1, b2),
-                            "a refinement row or column failed to match",
-                        )
-                    if not isinstance(verdict, Equal):
-                        saw_unknown = True
+    for left, right in itertools.islice(quads, quad_cap):
+        a1, a2 = model.rep(left[0]), model.rep(left[1])
+        b1, b2 = model.rep(right[0]), model.rep(right[1])
+        if not isinstance(decide_eq(a1 + a2, b1 + b2, _CONFIRM_DEPTH), Equal):
+            saw_unknown = True
+            continue
+        out = refine(a1, a2, b1, b2, _CONFIRM_DEPTH)
+        if isinstance(out, Unknown):
+            saw_unknown = True
+            continue
+        t = out.table
+        checks = [
+            (t[0][0] + t[0][1], a1),
+            (t[1][0] + t[1][1], a2),
+            (t[0][0] + t[1][0], b1),
+            (t[0][1] + t[1][1], b2),
+        ]
+        for got, want in checks:
+            verdict = decide_eq(got, want, _CONFIRM_DEPTH)
+            if isinstance(verdict, Distinct):
+                return PropertyReport(
+                    name,
+                    "counterexample",
+                    bounds,
+                    (a1, a2, b1, b2),
+                    "a refinement row or column failed to match",
+                )
+            if not isinstance(verdict, Equal):
+                saw_unknown = True
     if saw_unknown:
         return PropertyReport(
             name, "unknown", bounds, None, "some instances left unresolved"

@@ -1,5 +1,7 @@
 """Hereditary saturated subsets: lattice, quotients, composition series."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,6 +95,95 @@ def test_enumerated_sets_are_closed_under_join_meet(graph_idx):
         for t in sets:
             assert gm.join(s, t).members in members
             assert gm.meet(s, t).members in members
+
+
+# ----------------------------------------------------------------------
+# differential checks against a brute-force powerset oracle
+
+
+def _set_key(members):
+    return (len(members), tuple(sorted(members)))
+
+
+def _oracle_sets(g):
+    """Every hereditary saturated subset, found by testing all 2^n."""
+    names = sorted(g.vertices)
+    found = []
+    for mask in range(1 << len(names)):
+        members = frozenset(v for i, v in enumerate(names) if mask >> i & 1)
+        if gm.is_hereditary(g, members) and gm.saturate(g, members) == members:
+            found.append(members)
+    return sorted(found, key=_set_key)
+
+
+def _oracle_covers(sets):
+    return {
+        (lo, hi)
+        for lo in sets
+        for hi in sets
+        if lo < hi and not any(lo < mid < hi for mid in sets)
+    }
+
+
+def _check_against_oracle(g):
+    expected = _oracle_sets(g)
+    assert [s.members for s in gm.enumerate_hsat(g)] == expected
+    rep = gm.lattice_report(g)
+    assert [s.members for s in rep.sets] == expected
+    assert list(rep.hasse) == sorted(rep.hasse)
+    covers = _oracle_covers(expected)
+    listed = {(expected[i], expected[j]) for i, j in rep.hasse}
+    assert len(listed) == len(rep.hasse)
+    assert listed == covers
+    for i, a in enumerate(rep.sets):
+        for j, b in enumerate(rep.sets):
+            assert rep.sets[rep.join_table[i][j]].members == gm.join(a, b).members
+            assert rep.sets[rep.meet_table[i][j]].members == gm.meet(a, b).members
+    if not g.vertices:
+        return
+    chain = [expected[0]]
+    while chain[-1] != frozenset(g.vertices):
+        above = [hi for lo, hi in covers if lo == chain[-1]]
+        chain.append(min(above, key=_set_key))
+    assert [s.members for s in gm.composition_series(g).sets] == chain
+
+
+def test_lattice_matches_oracle_on_corpus():
+    for g in corpus():
+        _check_against_oracle(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    names = tuple(f"v{i}" for i in range(n))
+    vertex = st.sampled_from(names)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return Graph(names, tuple(edges))
+
+
+@given(small_graphs())
+def test_lattice_matches_oracle_on_random_graphs(g):
+    _check_against_oracle(g)
+
+
+def test_long_chain_enumerates_without_the_powerset():
+    # 15 two-cycles, each feeding the next: 30 vertices, 16 sets (the
+    # empty set and the 15 tails of the chain), against 2^30 subsets
+    names = [f"{side}{i:02d}" for i in range(15) for side in "ab"]
+    edges = []
+    for i in range(15):
+        edges += [(f"a{i:02d}", f"b{i:02d}"), (f"b{i:02d}", f"a{i:02d}")]
+        if i < 14:
+            edges.append((f"a{i:02d}", f"a{i + 1:02d}"))
+    g = Graph(tuple(names), tuple(edges))
+    start = time.perf_counter()
+    sets = gm.enumerate_hsat(g, cap=30)
+    assert time.perf_counter() - start < 1.0
+    tails = [
+        frozenset(v for v in names if int(v[1:]) >= k) for k in range(15, -1, -1)
+    ]
+    assert [s.members for s in sets] == tails
 
 
 # ----------------------------------------------------------------------

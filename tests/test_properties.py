@@ -168,3 +168,20 @@ def test_refinement_sweep():
     assert rep.property == "refinement"
     assert rep.verdict == "holds-within-bounds"
     assert gm.check_refinement(make_fork()).verdict == "holds-within-bounds"
+
+
+def test_refinement_quad_cap_stops_the_whole_sweep(monkeypatch):
+    from graphmonoid import properties
+
+    attempts = []
+    real_refine = properties.refine
+
+    def counting_refine(*args):
+        attempts.append(args)
+        return real_refine(*args)
+
+    monkeypatch.setattr(properties, "refine", counting_refine)
+    capped = gm.check_refinement(ABCD, quad_cap=1)
+    assert len(attempts) == 1
+    assert capped.bounds["quad_cap"] == 1
+    assert capped.verdict == gm.check_refinement(ABCD).verdict
