@@ -8,6 +8,7 @@ here elements are just vectors with formatting, parsing and enumeration.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,17 +131,26 @@ def count_vectors(positions: int, max_total: int) -> Iterator[tuple[int, ...]]:
     ``max_total``, ordered by total and then lexicographically descending
     within each total (so single-vertex vectors come out in vertex order).
     """
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for first in range(remaining, -1, -1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-
+    if positions == 0:
+        if max_total >= 0:
+            yield ()
+        return
     for total in range(max_total + 1):
-        yield from rec(total, positions)
+        # stars and bars: positions - 1 bars among total + positions - 1
+        # slots cut the stars into the entries; combinations come out in
+        # ascending order of the vectors, so each block is reversed
+        slots = total + positions - 1
+        block = []
+        for bars in itertools.combinations(range(slots), positions - 1):
+            vec = []
+            prev = -1
+            for bar in bars:
+                vec.append(bar - prev - 1)
+                prev = bar
+            vec.append(slots - prev - 1)
+            block.append(tuple(vec))
+        block.reverse()
+        yield from block
 
 
 def elements_up_to(g: Graph, max_size: int) -> Iterator[MonoidElement]:

@@ -9,15 +9,24 @@ true class relation sits between the two, so every answer drawn from the
 model is either proved or reported as unknown, and counting questions
 come back as a lower and an upper bound that agree exactly when the two
 partitions coincide on the region of interest.
+
+Inside the model a count vector is one integer: its entries are the
+digits in base ``cap + 1``, first vertex most significant.  No entry of
+an in-cap vector exceeds the cap, so distinct vectors get distinct
+codes, code order is tuple order, and adding vectors whose total stays
+within the cap adds their codes.  A move is therefore one fixed integer
+step, and "the vector holds vertex p" is a nonzero digit.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Optional
+from operator import mul
+from typing import Optional, Sequence
 
 from .graphs import Graph, hsat_closure, is_hereditary, _saturate
-from .elements import MonoidElement, count_vectors, vertex_element, zero
+from .elements import MonoidElement, vertex_element, zero
 from .certificates import (
     Certificate,
     _quotient_data,
@@ -28,10 +37,40 @@ from .certificates import (
 
 DEFAULT_CLASS_CAP = 24
 DEFAULT_K_BOUND = 3
+# most vectors a model may hold when a property sweep builds it or when
+# ideal_membership escalates its cap
+_UNIVERSE_LIMIT = 300_000
+
+
+def _code_blocks(positions: int, cap: int) -> list[list[int]]:
+    """Codes of all vectors of the given length, one list per total up to
+    ``cap``, each in descending order: the order of ``count_vectors``."""
+    base = cap + 1
+    # vectors over the last m positions, grown one leading position at a time
+    blocks = [[0]] + [[] for _ in range(cap)]
+    weight = 1
+    for _ in range(positions):
+        blocks = [
+            [
+                first * weight + rest
+                for first in range(total, -1, -1)
+                for rest in blocks[total - first]
+            ]
+            for total in range(cap + 1)
+        ]
+        weight *= base
+    return blocks
 
 
 class ClassModel:
-    """Union-find over in-cap moves plus invariant fingerprints."""
+    """Union-find over in-cap moves plus invariant fingerprints.
+
+    ``vectors`` lists the codes of every count vector of size at most
+    ``cap`` (see the module docstring), by size and then descending;
+    ``index`` maps a code back to its position.  A block is named by the
+    position of its union-find root, and its representative is its
+    smallest member by size, then code.
+    """
 
     def __init__(self, graph: Graph, cap: int):
         if cap < 1:
@@ -40,40 +79,90 @@ class ClassModel:
         self.cap = cap
         order = graph.vertex_order
         n = len(order)
-        self.vectors: list[tuple[int, ...]] = list(count_vectors(n, cap))
-        self.index = {v: i for i, v in enumerate(self.vectors)}
-        self.sizes = [sum(v) for v in self.vectors]
-        count = len(self.vectors)
-        self._parent = list(range(count))
-        self._rank = [0] * count
+        self.base = base = cap + 1
+        self.weights = weights = [base ** (n - 1 - p) for p in range(n)]
+        blocks = _code_blocks(n, cap)
+        self.vectors: list[int] = [c for block in blocks for c in block]
+        codes = self.vectors
+        self.index = index = {c: i for i, c in enumerate(codes)}
+        # the vectors of size t sit at positions starts[t]:starts[t + 1]
+        starts = [0]
+        for block in blocks:
+            starts.append(starts[-1] + len(block))
+        self._starts = starts
+        count = len(codes)
+        self._parent = parent = list(range(count))
+        rank = [0] * count
 
-        deltas = []
+        # (digit weight of v, code step of v's move, size growth)
+        moves = []
         for p, v in enumerate(order):
             if not graph.is_sink(v):
-                d = [0] * n
-                d[p] -= 1
-                for w in graph.ranges_from(v):
-                    d[graph.vertex_index[w]] += 1
-                deltas.append((p, tuple(d), sum(d)))
-        for i, vec in enumerate(self.vectors):
-            si = self.sizes[i]
-            for p, d, growth in deltas:
-                if vec[p] and si + growth <= cap:
-                    j = self.index[tuple(a + b for a, b in zip(vec, d))]
-                    self._union(i, j)
+                targets = graph.ranges_from(v)
+                step = sum(weights[graph.vertex_index[w]] for w in targets)
+                moves.append((weights[p], step - weights[p], len(targets) - 1))
+        for size in range(cap + 1):
+            fitting = [(w, step) for w, step, grow in moves if size + grow <= cap]
+            if not fitting:
+                continue
+            for i in range(starts[size], starts[size + 1]):
+                c = codes[i]
+                ri = i
+                while parent[ri] != ri:
+                    parent[ri] = parent[parent[ri]]
+                    ri = parent[ri]
+                for w, step in fitting:
+                    if not c // w % base:
+                        continue
+                    rj = index[c + step]
+                    while parent[rj] != rj:
+                        parent[rj] = parent[parent[rj]]
+                        rj = parent[rj]
+                    if ri == rj:
+                        continue
+                    # union by rank; ri stays the root of i's block
+                    if rank[ri] < rank[rj]:
+                        parent[ri] = rj
+                        ri = rj
+                    else:
+                        parent[rj] = ri
+                        if rank[ri] == rank[rj]:
+                            rank[ri] += 1
 
-        best: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for i, vec in enumerate(self.vectors):
-            r = self._find(i)
-            key = (self.sizes[i], vec)
-            if r not in best or key < best[r]:
-                best[r] = key
+        # visiting sizes downwards and codes downwards, the last member
+        # seen of each block is its smallest
+        best: dict[int, tuple[int, int]] = {}
+        find = self._find
+        for size in range(cap, -1, -1):
+            for i in range(starts[size], starts[size + 1]):
+                best[find(i)] = (size, codes[i])
         self._rep_key = best
+        self._rep_vec = {r: self.decode(c) for r, (_, c) in best.items()}
         self.roots: list[int] = sorted(best, key=best.__getitem__)
         self._fp: dict[int, tuple] = {}
         self._add_memo: dict[tuple[int, int], Optional[int]] = {}
         self._le_memo: dict[tuple[int, int], Optional[int]] = {}
         self._le_table: Optional[tuple[dict[int, int], dict[int, int]]] = None
+
+    # -- codes ---------------------------------------------------------
+
+    def encode(self, vec: Sequence[int]) -> Optional[int]:
+        """Code of a count vector, or None when it is not one of the
+        model's vectors (wrong length, a negative entry, or size above
+        the cap)."""
+        if len(vec) != len(self.weights) or sum(vec) > self.cap:
+            return None
+        if any(c < 0 for c in vec):
+            return None
+        return sum(map(mul, vec, self.weights))
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        """The count vector a code stands for."""
+        digits = []
+        for w in self.weights:
+            d, code = divmod(code, w)
+            digits.append(d)
+        return tuple(digits)
 
     # -- union-find ----------------------------------------------------
 
@@ -84,35 +173,25 @@ class ClassModel:
             i = p[i]
         return i
 
-    def _union(self, i: int, j: int) -> None:
-        ri, rj = self._find(i), self._find(j)
-        if ri == rj:
-            return
-        if self._rank[ri] < self._rank[rj]:
-            ri, rj = rj, ri
-        self._parent[rj] = ri
-        if self._rank[ri] == self._rank[rj]:
-            self._rank[ri] += 1
-
     # -- classes -------------------------------------------------------
 
     def in_universe(self, x: MonoidElement) -> bool:
-        return x.graph == self.graph and x.counts in self.index
+        return x.graph == self.graph and self.encode(x.counts) is not None
 
     def class_of(self, x: MonoidElement) -> int:
         if x.graph != self.graph:
             raise ValueError("element belongs to a different graph")
-        i = self.index.get(x.counts)
-        if i is None:
+        code = self.encode(x.counts)
+        if code is None:
             raise ValueError("element lies outside the enumerated universe")
-        return self._find(i)
+        return self._find(self.index[code])
 
     def class_of_vertex(self, v: str) -> int:
         return self.class_of(vertex_element(self.graph, v))
 
     def rep(self, root: int) -> MonoidElement:
         """Smallest member of a block, by size then count vector."""
-        return MonoidElement(self.graph, self._rep_key[root][1])
+        return MonoidElement(self.graph, self._rep_vec[root])
 
     def rep_size(self, root: int) -> int:
         return self._rep_key[root][0]
@@ -160,10 +239,11 @@ class ClassModel:
         key = (r, s) if r <= s else (s, r)
         if key in self._add_memo:
             return self._add_memo[key]
-        va = self._rep_key[r][1]
-        vb = self._rep_key[s][1]
-        i = self.index.get(tuple(a + b for a, b in zip(va, vb)))
-        out = None if i is None else self._find(i)
+        size_r, code_r = self._rep_key[r]
+        size_s, code_s = self._rep_key[s]
+        out = None
+        if size_r + size_s <= self.cap:
+            out = self._find(self.index[code_r + code_s])
         self._add_memo[key] = out
         return out
 
@@ -264,43 +344,46 @@ def quotient_bounded_class_count(
     if size_limit > cap:
         raise ValueError("size limit exceeds the enumeration cap")
     model = class_model(g, cap)
-    vectors = model.vectors
-    parent = [model._find(i) for i in range(len(vectors))]
+    codes = model.vectors
+    index = model.index
+    starts = model._starts
+    # the model's forest, further merged along h: v ~ v + e_p for p in h
+    parent = list(model._parent)
+    h_weights = [w for w, v in zip(model.weights, g.vertex_order) if v in h]
+    for i in range(starts[cap]):
+        c = codes[i]
+        ri = i
+        while parent[ri] != ri:
+            parent[ri] = parent[parent[ri]]
+            ri = parent[ri]
+        for w in h_weights:
+            rj = index[c + w]
+            while parent[rj] != rj:
+                parent[rj] = parent[parent[rj]]
+                rj = parent[rj]
+            if ri != rj:
+                parent[rj] = ri
+    root = []
+    for i in range(len(codes)):
+        r = i
+        while parent[r] != r:
+            r = parent[r]
+        root.append(r)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    base = model.base
+    wanted = {
+        root[i]
+        for i in range(starts[max(size_limit + 1, 0)])
+        if all(codes[i] // w % base == 0 for w in h_weights)
+    }
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    order = g.vertex_order
-    h_positions = [i for i, v in enumerate(order) if v in h]
-    for i, vec in enumerate(vectors):
-        if model.sizes[i] < cap:
-            for p in h_positions:
-                bumped = list(vec)
-                bumped[p] += 1
-                union(i, model.index[tuple(bumped)])
-
-    wanted: set[int] = set()
-    for i, vec in enumerate(vectors):
-        if model.sizes[i] <= size_limit and all(
-            vec[p] == 0 for p in h_positions
-        ):
-            wanted.add(find(i))
-
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for i, vec in enumerate(vectors):
-        r = find(i)
-        if r in wanted:
-            key = (model.sizes[i], vec)
-            if r not in best or key < best[r]:
-                best[r] = key
+    # visiting sizes downwards and codes downwards, the last member seen
+    # of each block is its smallest
+    best: dict[int, int] = {}
+    for size in range(cap, -1, -1):
+        for i in range(starts[size], starts[size + 1]):
+            if root[i] in wanted:
+                best[root[i]] = codes[i]
 
     entries = [
         (q, pres)
@@ -309,8 +392,7 @@ def quotient_bounded_class_count(
     ]
     profiles = set()
     for r in wanted:
-        _, vec = best[r]
-        elem = MonoidElement(g, vec)
+        elem = MonoidElement(g, model.decode(best[r]))
         parts: list = [tuple(sorted(hsat_closure(g, elem.support | h)))]
         for q, pres in entries:
             parts.append(_quotient_image(q, pres, elem))
@@ -335,7 +417,8 @@ def ideal_membership(
     equivalent to ``k`` copies of ``y``, ``("not-member", certificate)``
     with a checkable refutation, or ``("unknown", None)``.  The witness
     multiple is searched up to ``k_bound``; the enumeration cap escalates
-    twice before giving up.
+    by 8 twice before giving up, but only to models of at most
+    ``_UNIVERSE_LIMIT`` vectors.
     """
     if x.graph != y.graph:
         raise ValueError("elements belong to different graphs")
@@ -349,7 +432,10 @@ def ideal_membership(
     blocked = leq_obstruction(x, y * k_bound)
     if blocked is not None:
         return ("not-member", blocked)
+    n = len(g.vertices)
     for attempt in (cap, cap + 8, cap + 16):
+        if attempt > cap and math.comb(n + attempt, n) > _UNIVERSE_LIMIT:
+            break
         model = class_model(g, attempt)
         try:
             rx = model.class_of(x)

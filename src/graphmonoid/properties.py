@@ -30,12 +30,16 @@ from .rewriting import (
     normal_form,
     refine,
 )
-from .enumeration import DEFAULT_CLASS_CAP, ClassModel, class_model
+from .enumeration import (
+    DEFAULT_CLASS_CAP,
+    _UNIVERSE_LIMIT,
+    ClassModel,
+    class_model,
+)
 
 DEFAULT_SIZE_BOUND = 4
 DEFAULT_N_BOUND = 3
 _SWEEP_ROOT_LIMIT = 1200
-_SWEEP_UNIVERSE_LIMIT = 300_000
 _CONFIRM_DEPTH = 40
 
 
@@ -181,7 +185,7 @@ class _Sweep:
 def _too_large(g: Graph, name: str, bounds: dict, cap: int):
     # universe size is known up front; refuse before allocating it
     universe = math.comb(len(g.vertices) + cap, len(g.vertices))
-    if universe > _SWEEP_UNIVERSE_LIMIT:
+    if universe > _UNIVERSE_LIMIT:
         return PropertyReport(
             name, "unknown", bounds, None, "class model too large to sweep"
         )

@@ -121,3 +121,27 @@ def test_count_vectors_complete(n, cap):
 
     build([], cap)
     assert got == brute
+
+
+def _recursive_count_vectors(positions, max_total):
+    """The definition: by total, then first entry descending, recursively."""
+
+    def rec(remaining, slots):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        for first in range(remaining, -1, -1):
+            for rest in rec(remaining - first, slots - 1):
+                yield (first,) + rest
+
+    for total in range(max_total + 1):
+        yield from rec(total, positions)
+
+
+@pytest.mark.parametrize("positions", range(6))
+def test_count_vectors_match_recursive_definition(positions):
+    for max_total in range(7):
+        assert list(count_vectors(positions, max_total)) == list(
+            _recursive_count_vectors(positions, max_total)
+        )

@@ -1,9 +1,15 @@
 """Bounded class models: counting, comparison, order-ideal membership."""
 
+import math
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 import graphmonoid as gm
+from graphmonoid import enumeration
+from graphmonoid.certificates import _quotient_data, _quotient_image
+from graphmonoid.elements import count_vectors
 
 from conftest import corpus, make_abcd, make_bouquet, make_fork, make_parallel_pair
 
@@ -77,6 +83,179 @@ def test_le_table_matches_le_classes():
         for s in roots:
             via_table = bool(reachable[r] >> position[s] & 1)
             assert via_table == model.le_classes(r, s)
+
+
+def test_model_universe_size():
+    for g in (ABCD, make_fork(), gm.Graph((), ())):
+        n = len(g.vertices)
+        for cap in (1, 5, 24):
+            assert len(gm.class_model(g, cap).vectors) == math.comb(n + cap, n)
+
+
+def test_encode_rejects_vectors_outside_the_universe():
+    model = gm.class_model(ABCD, 5)
+    assert model.decode(model.encode((1, 0, 2, 2))) == (1, 0, 2, 2)
+    assert model.encode((1, 0, 2)) is None
+    assert model.encode((1, 0, 2, 3)) is None
+    assert model.encode((-1, 0, 2, 2)) is None
+
+
+# ----------------------------------------------------------------------
+# differential checks against the class model over count tuples
+
+
+class _TupleModel:
+    """The class model over count tuples, kept as the reference: a
+    tuple-keyed index and a union-find with union by rank, fed the moves
+    in vertex order for every vector in ``count_vectors`` order."""
+
+    def __init__(self, g, cap):
+        order = g.vertex_order
+        n = len(order)
+        self.graph = g
+        self.cap = cap
+        self.vectors = list(count_vectors(n, cap))
+        self.index = {v: i for i, v in enumerate(self.vectors)}
+        self.sizes = [sum(v) for v in self.vectors]
+        self.parent = list(range(len(self.vectors)))
+        self.rank = [0] * len(self.vectors)
+        deltas = []
+        for p, v in enumerate(order):
+            if not g.is_sink(v):
+                d = [0] * n
+                d[p] -= 1
+                for w in g.ranges_from(v):
+                    d[g.vertex_index[w]] += 1
+                deltas.append((p, tuple(d), sum(d)))
+        for i, vec in enumerate(self.vectors):
+            for p, d, growth in deltas:
+                if vec[p] and self.sizes[i] + growth <= cap:
+                    j = self.index[tuple(a + b for a, b in zip(vec, d))]
+                    self.union(i, j)
+        best = {}
+        for i, vec in enumerate(self.vectors):
+            r = self.find(i)
+            key = (self.sizes[i], vec)
+            if r not in best or key < best[r]:
+                best[r] = key
+        self.best = best
+        self.roots = sorted(best, key=best.__getitem__)
+
+    def find(self, i):
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return
+        if self.rank[ri] < self.rank[rj]:
+            ri, rj = rj, ri
+        self.parent[rj] = ri
+        if self.rank[ri] == self.rank[rj]:
+            self.rank[ri] += 1
+
+    def add(self, r, s):
+        total = tuple(a + b for a, b in zip(self.best[r][1], self.best[s][1]))
+        i = self.index.get(total)
+        return None if i is None else self.find(i)
+
+    def le_table(self):
+        position = {r: k for k, r in enumerate(self.roots)}
+        reachable = {}
+        for r in self.roots:
+            bits = 0
+            for t in self.roots:
+                if self.best[t][0] > self.cap - self.best[r][0]:
+                    break
+                s = self.add(r, t)
+                if s is not None:
+                    bits |= 1 << position[s]
+            reachable[r] = bits
+        return position, reachable
+
+    def quotient_count(self, h, size_limit):
+        g = self.graph
+        parent = [self.find(i) for i in range(len(self.vectors))]
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        h_positions = [p for p, v in enumerate(g.vertex_order) if v in h]
+        for i, vec in enumerate(self.vectors):
+            if self.sizes[i] < self.cap:
+                for p in h_positions:
+                    bumped = list(vec)
+                    bumped[p] += 1
+                    ri, rj = find(i), find(self.index[tuple(bumped)])
+                    if ri != rj:
+                        parent[rj] = ri
+        wanted = {
+            find(i)
+            for i, vec in enumerate(self.vectors)
+            if self.sizes[i] <= size_limit and all(vec[p] == 0 for p in h_positions)
+        }
+        best = {}
+        for i, vec in enumerate(self.vectors):
+            r = find(i)
+            if r in wanted:
+                key = (self.sizes[i], vec)
+                if r not in best or key < best[r]:
+                    best[r] = key
+        entries = [(q, pres) for ctx, q, pres in _quotient_data(g) if h <= set(ctx)]
+        profiles = set()
+        for r in wanted:
+            elem = gm.MonoidElement(g, best[r][1])
+            parts = [tuple(sorted(gm.hsat_closure(g, elem.support | h)))]
+            for q, pres in entries:
+                parts.append(_quotient_image(q, pres, elem))
+            profiles.add(tuple(parts))
+        return len(profiles), len(wanted)
+
+
+def _check_against_tuple_model(g, cap):
+    ref = _TupleModel(g, cap)
+    model = gm.class_model(g, cap)
+    assert model.vectors == [model.encode(v) for v in ref.vectors]
+    classes = [model.class_of(gm.MonoidElement(g, v)) for v in ref.vectors]
+    assert classes == [ref.find(i) for i in range(len(ref.vectors))]
+    assert model.roots == ref.roots
+    assert [model.rep(r).counts for r in model.roots] == [
+        ref.best[r][1] for r in ref.roots
+    ]
+    assert model.le_table() == ref.le_table()
+    for h in gm.enumerate_hsat(g):
+        if len(h.members) == len(g.vertices):
+            continue
+        members = tuple(sorted(h.members))
+        size_limit = (cap + 1) // 2
+        got = gm.quotient_bounded_class_count(g, members, size_limit, cap)
+        assert got == ref.quotient_count(h.members, size_limit)
+
+
+def test_model_matches_tuple_model_on_corpus():
+    for g in corpus():
+        for cap in range(1, 11):
+            _check_against_tuple_model(g, cap)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 4))
+    names = tuple(f"v{i}" for i in range(n))
+    vertex = st.sampled_from(names)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return gm.Graph(names, tuple(edges))
+
+
+@given(small_graphs(), st.integers(1, 10))
+def test_model_matches_tuple_model_on_random_graphs(g, cap):
+    _check_against_tuple_model(g, cap)
 
 
 # ----------------------------------------------------------------------
@@ -164,3 +343,23 @@ def test_ideal_membership_mismatch():
     fork = make_fork()
     with pytest.raises(ValueError):
         gm.ideal_membership(el("a"), gm.vertex_element(fork, "a"))
+
+
+def test_ideal_membership_escalation_stays_bounded(monkeypatch):
+    # a looped vertex with an exit to a sink: 5*w0 and w0 keep their
+    # loop counts apart, which no invariant sees, so no model resolves the
+    # pair; on 5 vertices escalating to cap 32 would build C(37, 5) vectors
+    names = tuple(f"w{i}" for i in range(5))
+    g = gm.Graph(names, (("w0", "w0"), ("w0", "w4")))
+    built = []
+    real = enumeration.class_model
+    monkeypatch.setattr(
+        enumeration,
+        "class_model",
+        lambda graph, cap=24: built.append(cap) or real(graph, cap),
+    )
+    w0 = gm.vertex_element(g, "w0")
+    start = time.perf_counter()
+    assert gm.ideal_membership(5 * w0, w0) == ("unknown", None)
+    assert time.perf_counter() - start < 1.0
+    assert built == [24]
