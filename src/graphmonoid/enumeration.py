@@ -16,13 +16,25 @@ an in-cap vector exceeds the cap, so distinct vectors get distinct
 codes, code order is tuple order, and adding vectors whose total stays
 within the cap adds their codes.  A move is therefore one fixed integer
 step, and "the vector holds vertex p" is a nonzero digit.
+
+The universe depends on the vertex count and the cap alone, so every
+model of that shape shares one code list, one code -> position index and
+one table of where each size begins (``_universe``), and never writes to
+them.  What a model owns is its flattened forest, where entry i is the
+root of vector i, plus its representatives and memo tables.  Quotient
+counts work over blocks, not vectors: collapsing a hereditary saturated
+set joins ``c`` with ``c + e_p`` for each of its vertices ``p``, and the
+model records once per vertex which pairs of distinct blocks those edges
+join, so each set costs one small union-find over block roots.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
-from operator import mul
+from itertools import compress, islice
+from operator import mul, ne
 from typing import Optional, Sequence
 
 from .graphs import Graph, hsat_closure, is_hereditary, _saturate
@@ -40,6 +52,21 @@ DEFAULT_K_BOUND = 3
 # most vectors a model may hold when a property sweep builds it or when
 # ideal_membership escalates its cap
 _UNIVERSE_LIMIT = 300_000
+
+
+@lru_cache(maxsize=8)
+def _universe(n: int, cap: int) -> tuple[list[int], dict[int, int], list[int]]:
+    """``(codes, index, starts)`` for vectors of length ``n`` up to ``cap``:
+    every code in ``count_vectors`` order, code -> position, and where
+    each total begins.  Shared by every model of that shape, which only
+    reads them."""
+    blocks = _code_blocks(n, cap)
+    codes = [c for block in blocks for c in block]
+    index = {c: i for i, c in enumerate(codes)}
+    starts = [0]
+    for block in blocks:
+        starts.append(starts[-1] + len(block))
+    return codes, index, starts
 
 
 def _code_blocks(positions: int, cap: int) -> list[list[int]]:
@@ -67,9 +94,12 @@ class ClassModel:
 
     ``vectors`` lists the codes of every count vector of size at most
     ``cap`` (see the module docstring), by size and then descending;
-    ``index`` maps a code back to its position.  A block is named by the
-    position of its union-find root, and its representative is its
-    smallest member by size, then code.
+    ``index`` maps a code back to its position.  Both are the universe
+    shared by every model with the same vertex count and cap: read them,
+    never change them.  A block is named by the position of its
+    union-find root, and its representative is its smallest member by
+    size, then code.  The forest is flattened once built, so a vector's
+    block is one list lookup.
     """
 
     def __init__(self, graph: Graph, cap: int):
@@ -81,18 +111,14 @@ class ClassModel:
         n = len(order)
         self.base = base = cap + 1
         self.weights = weights = [base ** (n - 1 - p) for p in range(n)]
-        blocks = _code_blocks(n, cap)
-        self.vectors: list[int] = [c for block in blocks for c in block]
-        codes = self.vectors
-        self.index = index = {c: i for i, c in enumerate(codes)}
+        codes, index, starts = _universe(n, cap)
+        self.vectors: list[int] = codes
+        self.index = index
         # the vectors of size t sit at positions starts[t]:starts[t + 1]
-        starts = [0]
-        for block in blocks:
-            starts.append(starts[-1] + len(block))
         self._starts = starts
-        count = len(codes)
-        self._parent = parent = list(range(count))
-        rank = [0] * count
+        # the index already holds every position as an int: reuse them
+        parent = list(index.values())
+        rank = bytearray(len(codes))
 
         # (digit weight of v, code step of v's move, size growth)
         moves = []
@@ -129,20 +155,30 @@ class ClassModel:
                         if rank[ri] == rank[rj]:
                             rank[ri] += 1
 
+        # flatten by pointer jumping: afterwards parent[i] is i's root
+        while True:
+            jumped = list(map(parent.__getitem__, parent))
+            if jumped == parent:
+                break
+            parent = jumped
+        self._parent = parent
+
         # visiting sizes downwards and codes downwards, the last member
-        # seen of each block is its smallest
-        best: dict[int, tuple[int, int]] = {}
-        find = self._find
+        # written for each block is its smallest
+        best: dict[int, int] = {}
         for size in range(cap, -1, -1):
-            for i in range(starts[size], starts[size + 1]):
-                best[find(i)] = (size, codes[i])
-        self._rep_key = best
-        self._rep_vec = {r: self.decode(c) for r, (_, c) in best.items()}
-        self.roots: list[int] = sorted(best, key=best.__getitem__)
+            lo, hi = starts[size], starts[size + 1]
+            best.update(zip(parent[lo:hi], range(lo, hi)))
+        self._rep_key = {
+            r: (bisect_right(starts, i) - 1, codes[i]) for r, i in best.items()
+        }
+        self._rep_vec = {r: self.decode(c) for r, (_, c) in self._rep_key.items()}
+        self.roots: list[int] = sorted(best, key=self._rep_key.__getitem__)
         self._fp: dict[int, tuple] = {}
         self._add_memo: dict[tuple[int, int], Optional[int]] = {}
         self._le_memo: dict[tuple[int, int], Optional[int]] = {}
         self._le_table: Optional[tuple[dict[int, int], dict[int, int]]] = None
+        self._bumps: dict[int, set[tuple[int, int]]] = {}
 
     # -- codes ---------------------------------------------------------
 
@@ -164,15 +200,6 @@ class ClassModel:
             digits.append(d)
         return tuple(digits)
 
-    # -- union-find ----------------------------------------------------
-
-    def _find(self, i: int) -> int:
-        p = self._parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
     # -- classes -------------------------------------------------------
 
     def in_universe(self, x: MonoidElement) -> bool:
@@ -184,7 +211,7 @@ class ClassModel:
         code = self.encode(x.counts)
         if code is None:
             raise ValueError("element lies outside the enumerated universe")
-        return self._find(self.index[code])
+        return self._parent[self.index[code]]
 
     def class_of_vertex(self, v: str) -> int:
         return self.class_of(vertex_element(self.graph, v))
@@ -243,7 +270,7 @@ class ClassModel:
         size_s, code_s = self._rep_key[s]
         out = None
         if size_r + size_s <= self.cap:
-            out = self._find(self.index[code_r + code_s])
+            out = self._parent[self.index[code_r + code_s]]
         self._add_memo[key] = out
         return out
 
@@ -289,6 +316,22 @@ class ClassModel:
                 reachable[r] = bits
             self._le_table = (position, reachable)
         return self._le_table
+
+    def _bump_pairs(self, p: int) -> set[tuple[int, int]]:
+        """The distinct block pairs ``(root(c), root(c + e_p))`` over every
+        vector ``c`` below the cap, where ``e_p`` is vertex ``p``: the
+        edges that adding that vertex draws between blocks.  Cached per
+        vertex after the first call."""
+        pairs = self._bumps.get(p)
+        if pairs is None:
+            parent = self._parent
+            below = self._starts[self.cap]
+            bumped = map(self.weights[p].__add__, islice(self.vectors, below))
+            lows = parent[:below]
+            highs = list(map(parent.__getitem__, map(self.index.__getitem__, bumped)))
+            pairs = set(compress(zip(lows, highs), map(ne, lows, highs)))
+            self._bumps[p] = pairs
+        return pairs
 
 
 def class_model(g: Graph, cap: int = DEFAULT_CLASS_CAP) -> ClassModel:
@@ -344,46 +387,40 @@ def quotient_bounded_class_count(
     if size_limit > cap:
         raise ValueError("size limit exceeds the enumeration cap")
     model = class_model(g, cap)
-    codes = model.vectors
-    index = model.index
-    starts = model._starts
-    # the model's forest, further merged along h: v ~ v + e_p for p in h
-    parent = list(model._parent)
-    h_weights = [w for w, v in zip(model.weights, g.vertex_order) if v in h]
-    for i in range(starts[cap]):
-        c = codes[i]
-        ri = i
-        while parent[ri] != ri:
-            parent[ri] = parent[parent[ri]]
-            ri = parent[ri]
-        for w in h_weights:
-            rj = index[c + w]
-            while parent[rj] != rj:
-                parent[rj] = parent[parent[rj]]
-                rj = parent[rj]
-            if ri != rj:
-                parent[rj] = ri
-    root = []
-    for i in range(len(codes)):
-        r = i
-        while parent[r] != r:
-            r = parent[r]
-        root.append(r)
+    h_positions = [p for p, v in enumerate(g.vertex_order) if v in h]
+    # the model's blocks, further merged along h: c ~ c + e_p for p in h
+    up = {r: r for r in model.roots}
 
+    def find(r: int) -> int:
+        while up[r] != r:
+            up[r] = up[up[r]]
+            r = up[r]
+        return r
+
+    for p in h_positions:
+        for a, b in model._bump_pairs(p):
+            a, b = find(a), find(b)
+            if a != b:
+                up[b] = a
+
+    codes = model.vectors
+    parent = model._parent
     base = model.base
+    h_weights = [model.weights[p] for p in h_positions]
     wanted = {
-        root[i]
-        for i in range(starts[max(size_limit + 1, 0)])
+        find(parent[i])
+        for i in range(model._starts[max(size_limit + 1, 0)])
         if all(codes[i] // w % base == 0 for w in h_weights)
     }
-
-    # visiting sizes downwards and codes downwards, the last member seen
-    # of each block is its smallest
-    best: dict[int, int] = {}
-    for size in range(cap, -1, -1):
-        for i in range(starts[size], starts[size + 1]):
-            if root[i] in wanted:
-                best[root[i]] = codes[i]
+    # a merged block's smallest member is the smallest of its blocks'
+    # representatives, and roots are in representative order
+    reps: dict[int, int] = {}
+    for r in model.roots:
+        m = find(r)
+        if m in wanted and m not in reps:
+            reps[m] = r
+            if len(reps) == len(wanted):
+                break
 
     entries = [
         (q, pres)
@@ -391,8 +428,8 @@ def quotient_bounded_class_count(
         if h <= set(ctx)
     ]
     profiles = set()
-    for r in wanted:
-        elem = MonoidElement(g, model.decode(best[r]))
+    for r in reps.values():
+        elem = model.rep(r)
         parts: list = [tuple(sorted(hsat_closure(g, elem.support | h)))]
         for q, pres in entries:
             parts.append(_quotient_image(q, pres, elem))

@@ -260,7 +260,8 @@ class GroupPresentation:
         return tuple(free + torsion)
 
 
-@lru_cache(maxsize=None)
+# bounded like the caches in ``certificates``
+@lru_cache(maxsize=1024)
 def grothendieck_group(g: Graph) -> GroupPresentation:
     """Universal group completion of the graph's monoid, as a cokernel."""
     rel = relation_matrix(g)

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -256,6 +257,105 @@ def small_graphs(draw):
 @given(small_graphs(), st.integers(1, 10))
 def test_model_matches_tuple_model_on_random_graphs(g, cap):
     _check_against_tuple_model(g, cap)
+
+
+# ----------------------------------------------------------------------
+# the universe shared by models of one shape
+
+
+def _proper_hsats(g):
+    return [
+        tuple(sorted(h.members))
+        for h in gm.enumerate_hsat(g)
+        if len(h.members) < len(g.vertices)
+    ]
+
+
+def _model_summary(g, cap):
+    model = gm.class_model(g, cap)
+    n = len(g.vertices)
+    return (
+        model.roots,
+        [model.rep(r).counts for r in model.roots],
+        [model.class_of(gm.MonoidElement(g, v)) for v in count_vectors(n, cap)],
+        model.le_table(),
+        [gm.quotient_bounded_class_count(g, h, cap // 2, cap) for h in _proper_hsats(g)],
+    )
+
+
+def _clear_model_caches():
+    enumeration._build_model.cache_clear()
+    enumeration._universe.cache_clear()
+
+
+def make_abcd_twin():
+    # abcd with the sink fed by a loop-free vertex instead: same vertex
+    # count, different classes
+    return gm.Graph(
+        ("a", "b", "c", "d"),
+        (("a", "a"), ("a", "b"), ("b", "c"), ("c", "c"), ("c", "d")),
+    )
+
+
+def test_models_of_one_shape_share_the_universe():
+    g1, g2 = ABCD, make_abcd_twin()
+    m1 = gm.class_model(g1, 9)
+    snapshot = (list(m1.vectors), dict(m1.index), list(m1._starts))
+    m2 = gm.class_model(g2, 9)
+    assert m2.vectors is m1.vectors
+    assert m2.index is m1.index
+    for h in _proper_hsats(g2):
+        gm.quotient_bounded_class_count(g2, h, 4, 9)
+    gm.check_separativity(g2, size_bound=2, cap=9)
+    assert (m1.vectors, m1.index, m1._starts) == snapshot
+
+
+def test_build_order_does_not_change_models():
+    by_size: dict[int, list] = {}
+    for g in corpus():
+        by_size.setdefault(len(g.vertices), []).append(g)
+    pairs = [(gs[0], gs[-1]) for gs in by_size.values() if len(gs) > 1]
+    pairs.append((ABCD, make_abcd_twin()))
+    for g1, g2 in pairs:
+        _clear_model_caches()
+        forward = (_model_summary(g1, 8), _model_summary(g2, 8))
+        _clear_model_caches()
+        second = _model_summary(g2, 8)
+        backward = (_model_summary(g1, 8), second)
+        assert forward == backward
+
+
+def test_quotient_counts_do_not_depend_on_earlier_sets():
+    for g in (ABCD, make_abcd_twin(), make_fork()):
+        hsats = _proper_hsats(g)
+        for h2 in hsats:
+            enumeration._build_model.cache_clear()
+            fresh = gm.quotient_bounded_class_count(g, h2, 5, 10)
+            for h1 in hsats:
+                enumeration._build_model.cache_clear()
+                gm.quotient_bounded_class_count(g, h1, 5, 10)
+                assert gm.quotient_bounded_class_count(g, h2, 5, 10) == fresh
+
+
+def test_second_model_of_a_shape_builds_no_universe():
+    # 5 vertices at cap 12: C(17, 5) = 6 188 vectors
+    names = tuple(f"u{i}" for i in range(5))
+    cycle = tuple((names[i], names[(i + 1) % 5]) for i in range(5))
+    g1 = gm.Graph(names, cycle)
+    g2 = gm.Graph(names, cycle + (("u0", "u2"),))
+    _clear_model_caches()
+    tracemalloc.start()
+    try:
+        m1 = gm.class_model(g1, 12)
+        first = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m2 = gm.class_model(g2, 12)
+        second = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(m1.vectors) == 6188 and m2.vectors is m1.vectors
+    assert second < first / 2
 
 
 # ----------------------------------------------------------------------
