@@ -1,291 +1,246 @@
-"""Bounded enumeration of monoid classes.
+"""Class models, class counts and order-ideal membership over normal forms.
 
-The model takes every count vector up to a size cap and partitions them
-two ways.  A union-find structure merges vectors joined by single moves
-that stay inside the cap: blocks of this partition are provably
-equivalent.  Certificate invariants stratify the same vectors from
-above: blocks with different invariants are provably inequivalent.  The
-true class relation sits between the two, so every answer drawn from the
-model is either proved or reported as unknown, and counting questions
-come back as a lower and an upper bound that agree exactly when the two
-partitions coincide on the region of interest.
+The completed rewriting system of :mod:`graphmonoid.knuth_bendix` gives
+every class one normal form, its least member by size and then count
+tuple.  A model names the classes that have a member of size at most
+its cap, and finds them by size level: a class whose normal form has
+size k is ``NF(N + e_v)`` for some class ``N`` of level k - 1 and vertex
+``v``, because dropping one vertex from an irreducible vector leaves an
+irreducible vector.  Levels are built only as far as a caller asks, and
+a model that would hold more than ``_CLASS_LIMIT`` classes raises
+``CapExceeded``.
 
-Inside the model a count vector is one integer: its entries are the
-digits in base ``cap + 1``, first vertex most significant.  No entry of
-an in-cap vector exceeds the cap, so distinct vectors get distinct
-codes, code order is tuple order, and adding vectors whose total stays
-within the cap adds their codes.  A move is therefore one fixed integer
-step, and "the vector holds vertex p" is a nonzero digit.
-
-The universe depends on the vertex count and the cap alone, so every
-model of that shape shares one code list, one code -> position index and
-one table of where each size begins (``_universe``), and never writes to
-them.  What a model owns is its flattened forest, where entry i is the
-root of vector i, plus its representatives and memo tables.  Quotient
-counts work over blocks, not vectors: collapsing a hereditary saturated
-set joins ``c`` with ``c + e_p`` for each of its vertices ``p``, and the
-model records once per vertex which pairs of distinct blocks those edges
-join, so each set costs one small union-find over block roots.
+Each class keeps its row of the transition table, the class of its
+normal form plus one vertex, computed on first use.  Sums of classes
+walk a normal form through that table, and the algebraic order is a
+breadth-first walk over it.  Distinct normal forms are distinct classes,
+so counts are exact: a count comes back as ``(n, n)``.  Collapsing a
+hereditary saturated set ``H`` adds the rules ``e_p -> 0`` for ``p`` in
+``H``, and quotient counts are the normal forms of that completion.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
-from itertools import compress, islice
-from operator import mul, ne
-from typing import Optional, Sequence
+from typing import Iterator, Optional
 
-from .graphs import Graph, hsat_closure, is_hereditary, _saturate
+from .knuth_bendix import complete
+from .errors import CapExceeded
+from .graphs import Graph, is_hereditary, _saturate
 from .elements import MonoidElement, vertex_element, zero
-from .certificates import (
-    Certificate,
-    _quotient_data,
-    _quotient_image,
-    leq_obstruction,
-    support_closure,
-)
+from .certificates import Certificate, leq_obstruction, support_closure
 
 DEFAULT_CLASS_CAP = 24
 DEFAULT_K_BOUND = 3
-# most vectors a model may hold when a property sweep builds it or when
-# ideal_membership escalates its cap
-_UNIVERSE_LIMIT = 300_000
-
-
-@lru_cache(maxsize=8)
-def _universe(n: int, cap: int) -> tuple[list[int], dict[int, int], list[int]]:
-    """``(codes, index, starts)`` for vectors of length ``n`` up to ``cap``:
-    every code in ``count_vectors`` order, code -> position, and where
-    each total begins.  Shared by every model of that shape, which only
-    reads them."""
-    blocks = _code_blocks(n, cap)
-    codes = [c for block in blocks for c in block]
-    index = {c: i for i, c in enumerate(codes)}
-    starts = [0]
-    for block in blocks:
-        starts.append(starts[-1] + len(block))
-    return codes, index, starts
-
-
-def _code_blocks(positions: int, cap: int) -> list[list[int]]:
-    """Codes of all vectors of the given length, one list per total up to
-    ``cap``, each in descending order: the order of ``count_vectors``."""
-    base = cap + 1
-    # vectors over the last m positions, grown one leading position at a time
-    blocks = [[0]] + [[] for _ in range(cap)]
-    weight = 1
-    for _ in range(positions):
-        blocks = [
-            [
-                first * weight + rest
-                for first in range(total, -1, -1)
-                for rest in blocks[total - first]
-            ]
-            for total in range(cap + 1)
-        ]
-        weight *= base
-    return blocks
+# most classes one model may name: every model of at most 6 vertices at
+# the default cap fits (C(30, 6) = 593 775 classes on the edgeless graph,
+# about 6 s and 190 MB to build), while the models of the benchmark's
+# `classes` workload name at most a few hundred
+_CLASS_LIMIT = 600_000
+# ideal_membership retries at a larger cap only while the count vectors
+# up to that size, a bound on the model's classes, stay below this
+_ESCALATION_LIMIT = 300_000
 
 
 class ClassModel:
-    """Union-find over in-cap moves plus invariant fingerprints.
+    """The classes of a graph's monoid with a member of size at most
+    ``cap``, each named by an integer id.
 
-    ``vectors`` lists the codes of every count vector of size at most
-    ``cap`` (see the module docstring), by size and then descending;
-    ``index`` maps a code back to its position.  Both are the universe
-    shared by every model with the same vertex count and cap: read them,
-    never change them.  A block is named by the position of its
-    union-find root, and its representative is its smallest member by
-    size, then code.  The forest is flattened once built, so a vector's
-    block is one list lookup.
+    A class is represented by its normal form, its smallest member by
+    size and then count vector.  ``roots`` lists the ids of every class
+    in that order, and ``roots_up_to(k)`` those whose representative has
+    size at most ``k``; both build the size levels they need on first
+    use.  With ``deleted`` the model is of the monoid with those vertices
+    set to zero.  Classes are exact: two elements within the cap share an
+    id exactly when they are equivalent.  ``class_of`` takes elements of
+    size at most the cap, and ``reduced_class`` any element whose normal
+    form is within the cap.  Building a level that would take the model
+    past ``_CLASS_LIMIT`` classes raises ``CapExceeded``.
     """
 
-    def __init__(self, graph: Graph, cap: int):
+    def __init__(self, graph: Graph, cap: int, deleted: frozenset = frozenset()):
         if cap < 1:
             raise ValueError("cap must be positive")
         self.graph = graph
         self.cap = cap
-        order = graph.vertex_order
-        n = len(order)
-        self.base = base = cap + 1
-        self.weights = weights = [base ** (n - 1 - p) for p in range(n)]
-        codes, index, starts = _universe(n, cap)
-        self.vectors: list[int] = codes
-        self.index = index
-        # the vectors of size t sit at positions starts[t]:starts[t + 1]
-        self._starts = starts
-        # the index already holds every position as an int: reuse them
-        parent = list(index.values())
-        rank = bytearray(len(codes))
-
-        # (digit weight of v, code step of v's move, size growth)
-        moves = []
-        for p, v in enumerate(order):
-            if not graph.is_sink(v):
-                targets = graph.ranges_from(v)
-                step = sum(weights[graph.vertex_index[w]] for w in targets)
-                moves.append((weights[p], step - weights[p], len(targets) - 1))
-        for size in range(cap + 1):
-            fitting = [(w, step) for w, step, grow in moves if size + grow <= cap]
-            if not fitting:
-                continue
-            for i in range(starts[size], starts[size + 1]):
-                c = codes[i]
-                ri = i
-                while parent[ri] != ri:
-                    parent[ri] = parent[parent[ri]]
-                    ri = parent[ri]
-                for w, step in fitting:
-                    if not c // w % base:
-                        continue
-                    rj = index[c + step]
-                    while parent[rj] != rj:
-                        parent[rj] = parent[parent[rj]]
-                        rj = parent[rj]
-                    if ri == rj:
-                        continue
-                    # union by rank; ri stays the root of i's block
-                    if rank[ri] < rank[rj]:
-                        parent[ri] = rj
-                        ri = rj
-                    else:
-                        parent[rj] = ri
-                        if rank[ri] == rank[rj]:
-                            rank[ri] += 1
-
-        # flatten by pointer jumping: afterwards parent[i] is i's root
-        while True:
-            jumped = list(map(parent.__getitem__, parent))
-            if jumped == parent:
-                break
-            parent = jumped
-        self._parent = parent
-
-        # visiting sizes downwards and codes downwards, the last member
-        # written for each block is its smallest
-        best: dict[int, int] = {}
-        for size in range(cap, -1, -1):
-            lo, hi = starts[size], starts[size + 1]
-            best.update(zip(parent[lo:hi], range(lo, hi)))
-        self._rep_key = {
-            r: (bisect_right(starts, i) - 1, codes[i]) for r, i in best.items()
-        }
-        self._rep_vec = {r: self.decode(c) for r, (_, c) in self._rep_key.items()}
-        self.roots: list[int] = sorted(best, key=self._rep_key.__getitem__)
-        self._fp: dict[int, tuple] = {}
+        self._reduce = complete(graph, deleted).reduce
+        origin = (0,) * len(graph.vertices)
+        # per id: its normal form, the normal form's size, and its row of
+        # the transition table (None until first asked)
+        self._reps: list[tuple[int, ...]] = [origin]
+        self._sizes: list[int] = [0]
+        self._next: list[Optional[tuple[int, ...]]] = [None]
+        self._ids: dict[tuple[int, ...], int] = {origin: 0}
+        # ids of the complete levels in representative order, and where
+        # each level ends in that list
+        self._order: list[int] = [0]
+        self._level_ends: list[int] = [1]
         self._add_memo: dict[tuple[int, int], Optional[int]] = {}
         self._le_memo: dict[tuple[int, int], Optional[int]] = {}
         self._le_table: Optional[tuple[dict[int, int], dict[int, int]]] = None
-        self._bumps: dict[int, set[tuple[int, int]]] = {}
 
-    # -- codes ---------------------------------------------------------
+    # -- the classes ---------------------------------------------------
 
-    def encode(self, vec: Sequence[int]) -> Optional[int]:
-        """Code of a count vector, or None when it is not one of the
-        model's vectors (wrong length, a negative entry, or size above
-        the cap)."""
-        if len(vec) != len(self.weights) or sum(vec) > self.cap:
-            return None
-        if any(c < 0 for c in vec):
-            return None
-        return sum(map(mul, vec, self.weights))
+    def _id(self, nf: tuple[int, ...]) -> int:
+        c = self._ids.get(nf)
+        if c is None:
+            c = len(self._reps)
+            if c >= _CLASS_LIMIT:
+                raise CapExceeded(f"class model exceeds {_CLASS_LIMIT} classes")
+            self._ids[nf] = c
+            self._reps.append(nf)
+            self._sizes.append(sum(nf))
+            self._next.append(None)
+        return c
 
-    def decode(self, code: int) -> tuple[int, ...]:
-        """The count vector a code stands for."""
-        digits = []
-        for w in self.weights:
-            d, code = divmod(code, w)
-            digits.append(d)
-        return tuple(digits)
+    def _successors(self, c: int) -> tuple[int, ...]:
+        """Row ``c`` of the transition table: the class of ``c``'s normal
+        form plus each vertex, in vertex order."""
+        row = self._next[c]
+        if row is None:
+            rep = self._reps[c]
+            reduce = self._reduce
+            row = tuple(
+                self._id(reduce(rep[:p] + (rep[p] + 1,) + rep[p + 1 :]))
+                for p in range(len(rep))
+            )
+            self._next[c] = row
+        return row
 
-    # -- classes -------------------------------------------------------
+    def _grow(self, size: int) -> None:
+        """Complete every level up to ``size`` (at most the cap)."""
+        sizes = self._sizes
+        while len(self._level_ends) <= min(size, self.cap):
+            k = len(self._level_ends)
+            level = {
+                d
+                for c in self._level(k - 1)
+                for d in self._successors(c)
+                if sizes[d] == k
+            }
+            self._order.extend(sorted(level, key=self._reps.__getitem__))
+            self._level_ends.append(len(self._order))
+
+    def _level(self, k: int) -> list[int]:
+        """Ids of the classes whose representative has size ``k``, in
+        order."""
+        self._grow(k)
+        return self._order[self._level_ends[k - 1] if k else 0 : self._level_ends[k]]
+
+    @property
+    def roots(self) -> list[int]:
+        """Ids of every class within the cap, by representative."""
+        self._grow(self.cap)
+        return self._order
+
+    def roots_up_to(self, size: int) -> list[int]:
+        if size < 0:
+            return []
+        self._grow(size)
+        return self._order[: self._level_ends[min(size, self.cap)]]
 
     def in_universe(self, x: MonoidElement) -> bool:
-        return x.graph == self.graph and self.encode(x.counts) is not None
+        return x.graph == self.graph and x.size <= self.cap
 
     def class_of(self, x: MonoidElement) -> int:
         if x.graph != self.graph:
             raise ValueError("element belongs to a different graph")
-        code = self.encode(x.counts)
-        if code is None:
+        if x.size > self.cap:
             raise ValueError("element lies outside the enumerated universe")
-        return self._parent[self.index[code]]
+        return self._id(self._reduce(x.counts))
+
+    def reduced_class(self, x: MonoidElement) -> Optional[int]:
+        """Class of ``x`` whatever its size, or None when its normal form
+        (the least member of its class) lies beyond the cap."""
+        if x.graph != self.graph:
+            raise ValueError("element belongs to a different graph")
+        nf = self._reduce(x.counts)
+        return self._id(nf) if sum(nf) <= self.cap else None
 
     def class_of_vertex(self, v: str) -> int:
         return self.class_of(vertex_element(self.graph, v))
 
     def rep(self, root: int) -> MonoidElement:
-        """Smallest member of a block, by size then count vector."""
-        return MonoidElement(self.graph, self._rep_vec[root])
+        """Smallest member of a class, by size then count vector."""
+        return MonoidElement(self.graph, self._reps[root])
 
     def rep_size(self, root: int) -> int:
-        return self._rep_key[root][0]
-
-    def roots_up_to(self, size: int) -> list[int]:
-        return [r for r in self.roots if self._rep_key[r][0] <= size]
+        return self._sizes[root]
 
     def closure_of(self, root: int) -> frozenset:
         return support_closure(self.rep(root))
 
-    def fingerprint(self, root: int) -> tuple:
-        """Invariant profile of a block; unequal profiles prove blocks
-        belong to different classes."""
-        fp = self._fp.get(root)
-        if fp is None:
-            rep = self.rep(root)
-            parts: list = [tuple(sorted(support_closure(rep)))]
-            for _, q, pres in _quotient_data(self.graph):
-                parts.append(_quotient_image(q, pres, rep))
-            fp = tuple(parts)
-            self._fp[root] = fp
-        return fp
-
-    def distinct_classes(self, r: int, s: int) -> bool:
-        return self.fingerprint(r) != self.fingerprint(s)
-
     def eq3(self, x: MonoidElement, y: MonoidElement) -> str:
-        """Three-valued word problem inside the model."""
+        """Word problem inside the model: ``"unknown"`` only for an
+        element beyond the cap or a model past its class limit."""
         try:
-            rx = self.class_of(x)
-            ry = self.class_of(y)
-        except ValueError:
+            same = self.class_of(x) == self.class_of(y)
+        except (ValueError, CapExceeded):
             return "unknown"
-        if rx == ry:
-            return "equal"
-        if self.fingerprint(rx) != self.fingerprint(ry):
-            return "distinct"
-        return "unknown"
+        return "equal" if same else "distinct"
 
-    # -- arithmetic on blocks ------------------------------------------
+    # -- arithmetic on classes -----------------------------------------
 
     def add_classes(self, r: int, s: int) -> Optional[int]:
-        """Block of the sum of two representatives, or None when the sum
+        """Class of the sum of two representatives, or None when the sum
         leaves the universe."""
+        if self._sizes[r] + self._sizes[s] > self.cap:
+            return None
         key = (r, s) if r <= s else (s, r)
-        if key in self._add_memo:
-            return self._add_memo[key]
-        size_r, code_r = self._rep_key[r]
-        size_s, code_s = self._rep_key[s]
-        out = None
-        if size_r + size_s <= self.cap:
-            out = self._parent[self.index[code_r + code_s]]
-        self._add_memo[key] = out
+        out = self._add_memo.get(key)
+        if out is None:
+            # walk the larger representative through the smaller one;
+            # every class on the way stays below the sum's size
+            big, small = key
+            if self._sizes[big] < self._sizes[small]:
+                big, small = small, big
+            out = big
+            for p, k in enumerate(self._reps[small]):
+                for _ in range(k):
+                    out = self._successors(out)[p]
+            self._add_memo[key] = out
         return out
 
+    def _frontiers(
+        self, r: int, moves: Optional[list[int]] = None
+    ) -> Iterator[list[int]]:
+        """Breadth-first walk from ``r`` over the transition table:
+        frontier ``d`` holds the classes first reached by adding ``d``
+        vertices, for ``d`` up to the room left below the cap.  With
+        ``moves``, only the vertices at those positions are added."""
+        seen = {r}
+        frontier = [r]
+        yield frontier
+        for _ in range(self.cap - self._sizes[r]):
+            nxt = []
+            for c in frontier:
+                row = self._successors(c)
+                for d in row if moves is None else map(row.__getitem__, moves):
+                    if d not in seen:
+                        seen.add(d)
+                        nxt.append(d)
+            if not nxt:
+                return
+            frontier = nxt
+            yield frontier
+
     def le_witness(self, r: int, s: int) -> Optional[int]:
-        """A block ``t`` with ``r + t`` provably landing in ``s``."""
+        """The first class ``t`` in ``roots`` order with ``r + t`` in ``s``
+        and the sum within the cap, or None."""
         key = (r, s)
         if key in self._le_memo:
             return self._le_memo[key]
-        room = self.cap - self._rep_key[r][0]
+        # a witness lies in the order ideal of s, so its support lies in
+        # the hereditary saturated closure of s's support
+        inside = self.closure_of(s)
+        moves = [p for p, v in enumerate(self.graph.vertex_order) if v in inside]
         out = None
-        for t in self.roots:
-            if self._rep_key[t][0] > room:
-                break
-            if self.add_classes(r, t) == s:
-                out = t
+        for depth, frontier in enumerate(self._frontiers(r, moves)):
+            if s in frontier:
+                # the smallest witness has a representative of exactly
+                # this size: scan that level in order
+                out = next(t for t in self._level(depth) if self.add_classes(r, t) == s)
                 break
         self._le_memo[key] = out
         return out
@@ -294,47 +249,42 @@ class ClassModel:
         return self.le_witness(r, s) is not None
 
     def le_table(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Whole-model divisibility at once.
+        """Whole-model divisibility.
 
         Returns ``(position, reachable)``: ``position`` numbers the
-        blocks, and bit ``position[s]`` of ``reachable[r]`` is set when
-        some block added to ``r`` provably lands in ``s``.  Costs one
-        pass over all pairs of blocks; cached after the first call.
+        classes in ``roots`` order, and bit ``position[s]`` of
+        ``reachable[r]`` is set when some class added to ``r`` lands in
+        ``s`` within the cap.  A row is one breadth-first walk, made the
+        first time it is read.
         """
         if self._le_table is None:
             position = {r: k for k, r in enumerate(self.roots)}
-            reachable: dict[int, int] = {}
-            for r in self.roots:
-                bits = 0
-                room = self.cap - self._rep_key[r][0]
-                for t in self.roots:
-                    if self._rep_key[t][0] > room:
-                        break
-                    s = self.add_classes(r, t)
-                    if s is not None:
-                        bits |= 1 << position[s]
-                reachable[r] = bits
-            self._le_table = (position, reachable)
+            self._le_table = (position, _Rows(self, position))
         return self._le_table
 
-    def _bump_pairs(self, p: int) -> set[tuple[int, int]]:
-        """The distinct block pairs ``(root(c), root(c + e_p))`` over every
-        vector ``c`` below the cap, where ``e_p`` is vertex ``p``: the
-        edges that adding that vertex draws between blocks.  Cached per
-        vertex after the first call."""
-        pairs = self._bumps.get(p)
-        if pairs is None:
-            parent = self._parent
-            below = self._starts[self.cap]
-            bumped = map(self.weights[p].__add__, islice(self.vectors, below))
-            lows = parent[:below]
-            highs = list(map(parent.__getitem__, map(self.index.__getitem__, bumped)))
-            pairs = set(compress(zip(lows, highs), map(ne, lows, highs)))
-            self._bumps[p] = pairs
-        return pairs
+
+class _Rows(dict):
+    """``reachable`` of :meth:`ClassModel.le_table`, filled row by row."""
+
+    def __init__(self, model: ClassModel, position: dict[int, int]):
+        super().__init__()
+        self._model = model
+        self._position = position
+
+    def __missing__(self, r: int) -> int:
+        position = self._position
+        bits = 0
+        for frontier in self._model._frontiers(r):
+            for c in frontier:
+                bits |= 1 << position[c]
+        self[r] = bits
+        return bits
 
 
 def class_model(g: Graph, cap: int = DEFAULT_CLASS_CAP) -> ClassModel:
+    """The cached model of ``g`` at ``cap``.  Raises ``CapExceeded`` when
+    the completion outgrows its caps; the model's own levels may raise it
+    later, past ``_CLASS_LIMIT`` classes."""
     return _build_model(g, cap)
 
 
@@ -350,18 +300,14 @@ def _build_model(g: Graph, cap: int) -> ClassModel:
 def bounded_class_count(
     g: Graph, size_limit: int, cap: int = DEFAULT_CLASS_CAP
 ) -> tuple[int, int]:
-    """Bounds on the number of classes with a member of the given size.
-
-    Returns ``(low, high)``: at least ``low`` such classes are pairwise
-    separated by invariants, and at most ``high`` blocks could merge
-    further.  Equality means the count is exact.
+    """The number of classes with a member of size at most
+    ``size_limit``, as ``(n, n)``: the count is exact.  Raises
+    ``CapExceeded`` when the completion or the model outgrows its caps.
     """
     if size_limit > cap:
         raise ValueError("size limit exceeds the enumeration cap")
-    model = class_model(g, cap)
-    roots = model.roots_up_to(size_limit)
-    profiles = {model.fingerprint(r) for r in roots}
-    return len(profiles), len(roots)
+    count = len(class_model(g, cap).roots_up_to(size_limit))
+    return count, count
 
 
 def quotient_bounded_class_count(
@@ -370,14 +316,14 @@ def quotient_bounded_class_count(
     size_limit: int,
     cap: int = DEFAULT_CLASS_CAP,
 ) -> tuple[int, int]:
-    """Bounds on the class count of the monoid collapsed along a
-    hereditary saturated set, computed inside the original graph.
+    """The class count of the monoid collapsed along a hereditary
+    saturated set, computed inside the original graph.
 
-    Vectors are additionally merged with themselves plus one vertex of
-    the set (collapsing exactly the congruence the set generates), and
-    only invariants that survive the collapse separate blocks.  Counted
-    blocks are those reachable from a vector of size at most
-    ``size_limit`` supported away from the set.
+    Every vertex of the set becomes zero, which collapses exactly the
+    congruence the set generates.  Returns ``(n, n)``, where ``n`` counts
+    the collapsed classes with a member of size at most ``size_limit``.
+    Raises ``CapExceeded`` when the completion or the model outgrows its
+    caps.
     """
     h = frozenset(h_members)
     for v in h:
@@ -386,55 +332,8 @@ def quotient_bounded_class_count(
         raise ValueError("subset is not hereditary and saturated")
     if size_limit > cap:
         raise ValueError("size limit exceeds the enumeration cap")
-    model = class_model(g, cap)
-    h_positions = [p for p, v in enumerate(g.vertex_order) if v in h]
-    # the model's blocks, further merged along h: c ~ c + e_p for p in h
-    up = {r: r for r in model.roots}
-
-    def find(r: int) -> int:
-        while up[r] != r:
-            up[r] = up[up[r]]
-            r = up[r]
-        return r
-
-    for p in h_positions:
-        for a, b in model._bump_pairs(p):
-            a, b = find(a), find(b)
-            if a != b:
-                up[b] = a
-
-    codes = model.vectors
-    parent = model._parent
-    base = model.base
-    h_weights = [model.weights[p] for p in h_positions]
-    wanted = {
-        find(parent[i])
-        for i in range(model._starts[max(size_limit + 1, 0)])
-        if all(codes[i] // w % base == 0 for w in h_weights)
-    }
-    # a merged block's smallest member is the smallest of its blocks'
-    # representatives, and roots are in representative order
-    reps: dict[int, int] = {}
-    for r in model.roots:
-        m = find(r)
-        if m in wanted and m not in reps:
-            reps[m] = r
-            if len(reps) == len(wanted):
-                break
-
-    entries = [
-        (q, pres)
-        for ctx, q, pres in _quotient_data(g)
-        if h <= set(ctx)
-    ]
-    profiles = set()
-    for r in reps.values():
-        elem = model.rep(r)
-        parts: list = [tuple(sorted(hsat_closure(g, elem.support | h)))]
-        for q, pres in entries:
-            parts.append(_quotient_image(q, pres, elem))
-        profiles.add(tuple(parts))
-    return len(profiles), len(wanted)
+    count = len(ClassModel(g, cap, h).roots_up_to(size_limit))
+    return count, count
 
 
 # ----------------------------------------------------------------------
@@ -452,10 +351,12 @@ def ideal_membership(
 
     Returns ``("member", (k, z))`` with a proven witness ``x + z``
     equivalent to ``k`` copies of ``y``, ``("not-member", certificate)``
-    with a checkable refutation, or ``("unknown", None)``.  The witness
-    multiple is searched up to ``k_bound``; the enumeration cap escalates
-    by 8 twice before giving up, but only to models of at most
-    ``_UNIVERSE_LIMIT`` vectors.
+    with a checkable refutation, or ``("unknown", reason)``.  The witness
+    multiple is searched up to ``k_bound`` and the addition ``z`` among
+    those that keep ``x + z`` within the cap; an empty search retries at
+    the cap plus 8 and plus 16, while the count vectors up to that size
+    number at most ``_ESCALATION_LIMIT``.  ``reason`` is None when the
+    search comes back empty and names the cap when one stopped it.
     """
     if x.graph != y.graph:
         raise ValueError("elements belong to different graphs")
@@ -470,20 +371,21 @@ def ideal_membership(
     if blocked is not None:
         return ("not-member", blocked)
     n = len(g.vertices)
-    for attempt in (cap, cap + 8, cap + 16):
-        if attempt > cap and math.comb(n + attempt, n) > _UNIVERSE_LIMIT:
-            break
-        model = class_model(g, attempt)
-        try:
-            rx = model.class_of(x)
-        except ValueError:
-            continue
-        for k in range(1, k_bound + 1):
-            try:
-                rt = model.class_of(y * k)
-            except ValueError:
+    try:
+        for attempt in (cap, cap + 8, cap + 16):
+            if attempt > cap and math.comb(n + attempt, n) > _ESCALATION_LIMIT:
                 break
-            witness = model.le_witness(rx, rt)
-            if witness is not None:
-                return ("member", (k, model.rep(witness)))
+            model = class_model(g, attempt)
+            rx = model.reduced_class(x)
+            if rx is None:
+                continue
+            for k in range(1, k_bound + 1):
+                rt = model.reduced_class(y * k)
+                if rt is None:
+                    break
+                witness = model.le_witness(rx, rt)
+                if witness is not None:
+                    return ("member", (k, model.rep(witness)))
+    except CapExceeded as exc:
+        return ("unknown", str(exc))
     return ("unknown", None)

@@ -333,6 +333,8 @@ def phi_psi_roundtrip(
     so one pass over pairs of classes covers every set at once: a sum
     must lie in exactly the ideals containing both summands, which gives
     closure under addition and (reading it backwards) downward closure.
+    Raises ``CapExceeded`` when the lattice, the completion or the class
+    model outgrows its caps.
     """
     from .enumeration import class_model
 

@@ -13,10 +13,10 @@ claiming the property.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
+from .errors import CapExceeded
 from .graphs import Graph, is_acyclic
 from .elements import MonoidElement, elements_up_to, from_counts
 from .certificates import Certificate, leq_obstruction
@@ -24,18 +24,14 @@ from .rewriting import (
     DEFAULT_DEPTH,
     DEFAULT_REDUCT_CAP,
     Distinct,
+    DistinctSums,
     Equal,
     Unknown,
     decide_eq,
     normal_form,
     refine,
 )
-from .enumeration import (
-    DEFAULT_CLASS_CAP,
-    _UNIVERSE_LIMIT,
-    ClassModel,
-    class_model,
-)
+from .enumeration import DEFAULT_CLASS_CAP, ClassModel, class_model
 
 DEFAULT_SIZE_BOUND = 4
 DEFAULT_N_BOUND = 3
@@ -158,11 +154,13 @@ class _Sweep:
         return "refuted" if refuted else "unknown"
 
     def eq_status(self, r: int, s: int) -> str:
-        if r == s:
-            return "proven"
-        if self.model.distinct_classes(r, s):
-            return "refuted"
-        return "unknown"
+        # the model's classes are exact: distinct ids are distinct classes
+        return "proven" if r == s else "refuted"
+
+    def multiples(self, reps: list[int], n: int) -> dict[int, Optional[int]]:
+        """Class of ``n`` copies of each representative, or None when its
+        normal form lies beyond the cap."""
+        return {r: self.model.reduced_class(self.model.rep(r) * n) for r in reps}
 
     def confirm_equal(self, x: MonoidElement, y: MonoidElement) -> bool:
         return isinstance(decide_eq(x, y, _CONFIRM_DEPTH), Equal)
@@ -183,18 +181,32 @@ class _Sweep:
 
 
 def _too_large(g: Graph, name: str, bounds: dict, cap: int):
-    # universe size is known up front; refuse before allocating it
-    universe = math.comb(len(g.vertices) + cap, len(g.vertices))
-    if universe > _UNIVERSE_LIMIT:
+    # count the classes level by level, so an oversized model is refused
+    # before its remaining levels are built
+    try:
+        model = class_model(g, cap)
+        for size in range(cap + 1):
+            if len(model.roots_up_to(size)) > _SWEEP_ROOT_LIMIT:
+                return PropertyReport(
+                    name,
+                    "unknown",
+                    bounds,
+                    None,
+                    f"class model too large to sweep: more than "
+                    f"{_SWEEP_ROOT_LIMIT} classes of size at most {size}",
+                )
+    except CapExceeded as exc:
         return PropertyReport(
-            name, "unknown", bounds, None, "class model too large to sweep"
-        )
-    model = class_model(g, cap)
-    if len(model.roots) > _SWEEP_ROOT_LIMIT:
-        return PropertyReport(
-            name, "unknown", bounds, None, "class model too large to sweep"
+            name, "unknown", bounds, None, f"class model too large to sweep: {exc}"
         )
     return None
+
+
+def _unresolved(name: str, bounds: dict, beyond_cap: bool = False) -> PropertyReport:
+    details = "some instances left unresolved"
+    if beyond_cap:
+        details += f"; some multiples exceed the class cap {bounds['cap']}"
+    return PropertyReport(name, "unknown", bounds, None, details)
 
 
 def check_separativity(
@@ -228,11 +240,15 @@ def check_separativity(
     sweep = _Sweep(g, cap)
     model = sweep.model
     reps = model.roots_up_to(size_bound)
-    saw_unknown = False
+    saw_unknown = beyond_cap = False
+    scaled = sweep.multiples(reps, n_bound)
     for ia, ra in enumerate(reps):
-        na = model.class_of(model.rep(ra) * n_bound)
+        na = scaled[ra]
         for rb in reps[ia + 1 :]:
-            nb = model.class_of(model.rep(rb) * n_bound)
+            nb = scaled[rb]
+            if na is None or nb is None:
+                saw_unknown = beyond_cap = True
+                continue
             conclusion = sweep.eq_status(ra, rb)
             for rc in reps:
                 sum_a = model.add_classes(ra, rc)
@@ -275,9 +291,7 @@ def check_separativity(
                     if conclusion != "proven":
                         saw_unknown = True
     if saw_unknown:
-        return PropertyReport(
-            name, "unknown", bounds, None, "some instances left unresolved"
-        )
+        return _unresolved(name, bounds, beyond_cap)
     return PropertyReport(name, "holds-within-bounds", bounds)
 
 
@@ -310,14 +324,18 @@ def check_unperforation(
     sweep = _Sweep(g, cap)
     model = sweep.model
     reps = model.roots_up_to(size_bound)
-    saw_unknown = False
+    saw_unknown = beyond_cap = False
     for n in range(2, n_bound + 1):
+        scaled = sweep.multiples(reps, n)
         for ra in reps:
-            na = model.class_of(model.rep(ra) * n)
+            na = scaled[ra]
             for rb in reps:
                 if ra == rb:
                     continue
-                nb = model.class_of(model.rep(rb) * n)
+                nb = scaled[rb]
+                if na is None or nb is None:
+                    saw_unknown = beyond_cap = True
+                    continue
                 premise = sweep.le_status(na, nb)
                 if premise == "refuted":
                     continue
@@ -338,9 +356,7 @@ def check_unperforation(
                 elif premise == "unknown" and conclusion != "proven":
                     saw_unknown = True
     if saw_unknown:
-        return PropertyReport(
-            name, "unknown", bounds, None, "some instances left unresolved"
-        )
+        return _unresolved(name, bounds, beyond_cap)
     return PropertyReport(name, "holds-within-bounds", bounds)
 
 
@@ -365,7 +381,11 @@ def is_prime(
         return big
     sweep = _Sweep(g, cap)
     model = sweep.model
-    rp = model.class_of(p)
+    rp = model.reduced_class(p)
+    if rp is None:
+        return PropertyReport(
+            name, "unknown", bounds, None, f"the element exceeds the class cap {cap}"
+        )
     reps = model.roots_up_to(size_bound)
     saw_unknown = False
     for i, r1 in enumerate(reps):
@@ -407,9 +427,7 @@ def is_prime(
             else:
                 saw_unknown = True
     if saw_unknown:
-        return PropertyReport(
-            name, "unknown", bounds, None, "some instances left unresolved"
-        )
+        return _unresolved(name, bounds)
     return PropertyReport(name, "holds-within-bounds", bounds)
 
 
@@ -420,7 +438,8 @@ def primes_up_to(
 ) -> list[MonoidElement]:
     """Class representatives up to ``size_bound`` whose primality sweep
     comes back clean.  Unresolved candidates are omitted, so the list is
-    a subset of the primes, not a promise of completeness."""
+    a subset of the primes, not a promise of completeness.  Raises
+    ``CapExceeded`` when the class model outgrows its caps."""
     model = class_model(g, cap)
     out = []
     for r in model.roots_up_to(size_bound):
@@ -469,10 +488,12 @@ def check_refinement(
     for left, right in itertools.islice(quads, quad_cap):
         a1, a2 = model.rep(left[0]), model.rep(left[1])
         b1, b2 = model.rep(right[0]), model.rep(right[1])
-        if not isinstance(decide_eq(a1 + a2, b1 + b2, _CONFIRM_DEPTH), Equal):
+        # refine searches the sums itself: provably distinct sums raise
+        try:
+            out = refine(a1, a2, b1, b2, _CONFIRM_DEPTH)
+        except DistinctSums:
             saw_unknown = True
             continue
-        out = refine(a1, a2, b1, b2, _CONFIRM_DEPTH)
         if isinstance(out, Unknown):
             saw_unknown = True
             continue
@@ -496,7 +517,5 @@ def check_refinement(
             if not isinstance(verdict, Equal):
                 saw_unknown = True
     if saw_unknown:
-        return PropertyReport(
-            name, "unknown", bounds, None, "some instances left unresolved"
-        )
+        return _unresolved(name, bounds)
     return PropertyReport(name, "holds-within-bounds", bounds)

@@ -213,6 +213,11 @@ class Unknown:
     depth: int
 
 
+class DistinctSums(ValueError):
+    """Raised by :func:`refine` when the two sums are provably
+    inequivalent."""
+
+
 Verdict = Union[Equal, Distinct, Unknown]
 
 
@@ -388,12 +393,13 @@ def refine(
 
     Both sums are rewritten to a shared reduct, each trace carries its
     split forward, and the two splits of the common reduct are refined in
-    the free monoid.  Raises ValueError when the sums are provably
-    inequivalent; passes Unknown through when the word problem does.
+    the free monoid.  Raises DistinctSums (a ValueError) when the sums
+    are provably inequivalent; passes Unknown through when the word
+    problem does.
     """
     outcome = decide_eq(a1 + a2, b1 + b2, depth, reduct_cap)
     if isinstance(outcome, Distinct):
-        raise ValueError("the sums are provably inequivalent")
+        raise DistinctSums("the sums are provably inequivalent")
     if isinstance(outcome, Unknown):
         return outcome
     m1, _ = split(outcome.lhs_trace, a1, a2)

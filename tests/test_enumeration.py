@@ -1,8 +1,8 @@
-"""Bounded class models: counting, comparison, order-ideal membership."""
+"""Class models: counting, comparison, order-ideal membership."""
 
 import math
+import random
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import graphmonoid as gm
 from graphmonoid import enumeration
 from graphmonoid.certificates import _quotient_data, _quotient_image
+from graphmonoid.knuth_bendix import _complete
 from graphmonoid.elements import count_vectors
 
 from conftest import corpus, make_abcd, make_bouquet, make_fork, make_parallel_pair
@@ -87,28 +88,30 @@ def test_le_table_matches_le_classes():
 
 
 def test_model_universe_size():
-    for g in (ABCD, make_fork(), gm.Graph((), ())):
+    # the universe is every element of size at most the cap; without
+    # edges every element is its own class
+    free = gm.Graph(("a", "b", "c"), ())
+    for g in (ABCD, make_fork(), free, gm.Graph((), ())):
         n = len(g.vertices)
         for cap in (1, 5, 24):
-            assert len(gm.class_model(g, cap).vectors) == math.comb(n + cap, n)
-
-
-def test_encode_rejects_vectors_outside_the_universe():
-    model = gm.class_model(ABCD, 5)
-    assert model.decode(model.encode((1, 0, 2, 2))) == (1, 0, 2, 2)
-    assert model.encode((1, 0, 2)) is None
-    assert model.encode((1, 0, 2, 3)) is None
-    assert model.encode((-1, 0, 2, 2)) is None
+            model = gm.class_model(g, cap)
+            for x in gm.elements_up_to(g, cap + 1):
+                assert model.in_universe(x) == (x.size <= cap)
+            if not g.edges:
+                assert len(model.roots) == math.comb(n + cap, n)
 
 
 # ----------------------------------------------------------------------
-# differential checks against the class model over count tuples
+# differential checks against the union-find model over count tuples
 
 
 class _TupleModel:
-    """The class model over count tuples, kept as the reference: a
-    tuple-keyed index and a union-find with union by rank, fed the moves
-    in vertex order for every vector in ``count_vectors`` order."""
+    """The earlier class model over count tuples, kept as the reference:
+    a tuple-keyed index and a union-find with union by rank, fed the
+    moves in vertex order for every vector in ``count_vectors`` order.
+    Its blocks join vectors linked by moves inside the cap, so they may
+    split a class near the cap; invariant fingerprints bound the class
+    counts from below."""
 
     def __init__(self, g, cap):
         order = g.vertex_order
@@ -162,6 +165,17 @@ class _TupleModel:
         total = tuple(a + b for a, b in zip(self.best[r][1], self.best[s][1]))
         i = self.index.get(total)
         return None if i is None else self.find(i)
+
+    def fingerprint(self, r):
+        rep = gm.MonoidElement(self.graph, self.best[r][1])
+        parts = [tuple(sorted(gm.support_closure(rep)))]
+        for _, q, pres in _quotient_data(self.graph):
+            parts.append(_quotient_image(q, pres, rep))
+        return tuple(parts)
+
+    def count(self, size_limit):
+        roots = [r for r in self.roots if self.best[r][0] <= size_limit]
+        return len({self.fingerprint(r) for r in roots}), len(roots)
 
     def le_table(self):
         position = {r: k for k, r in enumerate(self.roots)}
@@ -222,21 +236,42 @@ class _TupleModel:
 def _check_against_tuple_model(g, cap):
     ref = _TupleModel(g, cap)
     model = gm.class_model(g, cap)
-    assert model.vectors == [model.encode(v) for v in ref.vectors]
-    classes = [model.class_of(gm.MonoidElement(g, v)) for v in ref.vectors]
-    assert classes == [ref.find(i) for i in range(len(ref.vectors))]
-    assert model.roots == ref.roots
-    assert [model.rep(r).counts for r in model.roots] == [
-        ref.best[r][1] for r in ref.roots
+    # each reference block lies in one class
+    block_class = {}
+    for i, vec in enumerate(ref.vectors):
+        c = model.class_of(gm.MonoidElement(g, vec))
+        assert block_class.setdefault(ref.find(i), c) == c
+    # a class's representative is the least one of its blocks, and the
+    # classes come in that order
+    least = {}
+    for r in ref.roots:
+        least.setdefault(block_class[r], ref.best[r])
+    assert model.roots == list(least)
+    assert [(model.rep_size(c), model.rep(c).counts) for c in model.roots] == [
+        least[c] for c in model.roots
     ]
-    assert model.le_table() == ref.le_table()
+    # counts are exact and inside the reference's bounds
+    for size in range(cap + 1):
+        low, high = ref.count(size)
+        got = gm.bounded_class_count(g, size, cap)
+        assert got[0] == got[1] and low <= got[0] <= high
+    # whatever the reference proves below, the model reaches too
+    position, reachable = model.le_table()
+    ref_position, ref_reachable = ref.le_table()
+    for r in ref.roots:
+        row = reachable[block_class[r]]
+        bits = ref_reachable[r]
+        for k, s in enumerate(ref.roots):
+            if bits >> k & 1:
+                assert row >> position[block_class[s]] & 1
     for h in gm.enumerate_hsat(g):
         if len(h.members) == len(g.vertices):
             continue
         members = tuple(sorted(h.members))
         size_limit = (cap + 1) // 2
         got = gm.quotient_bounded_class_count(g, members, size_limit, cap)
-        assert got == ref.quotient_count(h.members, size_limit)
+        low, high = ref.quotient_count(h.members, size_limit)
+        assert got[0] == got[1] and low <= got[0] <= high
 
 
 def test_model_matches_tuple_model_on_corpus():
@@ -260,7 +295,7 @@ def test_model_matches_tuple_model_on_random_graphs(g, cap):
 
 
 # ----------------------------------------------------------------------
-# the universe shared by models of one shape
+# models built in any order
 
 
 def _proper_hsats(g):
@@ -274,18 +309,20 @@ def _proper_hsats(g):
 def _model_summary(g, cap):
     model = gm.class_model(g, cap)
     n = len(g.vertices)
+    position, reachable = model.le_table()
     return (
         model.roots,
         [model.rep(r).counts for r in model.roots],
         [model.class_of(gm.MonoidElement(g, v)) for v in count_vectors(n, cap)],
-        model.le_table(),
+        position,
+        [reachable[r] for r in model.roots],
         [gm.quotient_bounded_class_count(g, h, cap // 2, cap) for h in _proper_hsats(g)],
     )
 
 
 def _clear_model_caches():
     enumeration._build_model.cache_clear()
-    enumeration._universe.cache_clear()
+    _complete.cache_clear()
 
 
 def make_abcd_twin():
@@ -295,19 +332,6 @@ def make_abcd_twin():
         ("a", "b", "c", "d"),
         (("a", "a"), ("a", "b"), ("b", "c"), ("c", "c"), ("c", "d")),
     )
-
-
-def test_models_of_one_shape_share_the_universe():
-    g1, g2 = ABCD, make_abcd_twin()
-    m1 = gm.class_model(g1, 9)
-    snapshot = (list(m1.vectors), dict(m1.index), list(m1._starts))
-    m2 = gm.class_model(g2, 9)
-    assert m2.vectors is m1.vectors
-    assert m2.index is m1.index
-    for h in _proper_hsats(g2):
-        gm.quotient_bounded_class_count(g2, h, 4, 9)
-    gm.check_separativity(g2, size_bound=2, cap=9)
-    assert (m1.vectors, m1.index, m1._starts) == snapshot
 
 
 def test_build_order_does_not_change_models():
@@ -337,27 +361,6 @@ def test_quotient_counts_do_not_depend_on_earlier_sets():
                 assert gm.quotient_bounded_class_count(g, h2, 5, 10) == fresh
 
 
-def test_second_model_of_a_shape_builds_no_universe():
-    # 5 vertices at cap 12: C(17, 5) = 6 188 vectors
-    names = tuple(f"u{i}" for i in range(5))
-    cycle = tuple((names[i], names[(i + 1) % 5]) for i in range(5))
-    g1 = gm.Graph(names, cycle)
-    g2 = gm.Graph(names, cycle + (("u0", "u2"),))
-    _clear_model_caches()
-    tracemalloc.start()
-    try:
-        m1 = gm.class_model(g1, 12)
-        first = tracemalloc.get_traced_memory()[1]
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        m2 = gm.class_model(g2, 12)
-        second = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert len(m1.vectors) == 6188 and m2.vectors is m1.vectors
-    assert second < first / 2
-
-
 # ----------------------------------------------------------------------
 # class counting
 
@@ -375,6 +378,27 @@ def test_bounded_class_count_free():
 def test_bounded_class_count_collapse():
     # two loops: every nonzero element is congruent
     assert gm.bounded_class_count(make_bouquet(2), 4) == (2, 2)
+
+
+def _strongly_connected(n, seed):
+    # a directed cycle through every vertex plus n seeded extra edges
+    rng = random.Random(seed)
+    names = tuple(f"v{i}" for i in range(n))
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    edges += [(rng.choice(names), rng.choice(names)) for _ in range(n)]
+    return gm.Graph(names, tuple(edges))
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_class_counts_scale_past_the_vector_universe(n):
+    # every count vector up to size 24 would be C(32, 8) = 10.5M vectors
+    # on 8 vertices; the normal forms need only the classes themselves
+    for seed in range(3):
+        g = _strongly_connected(n, seed)
+        start = time.perf_counter()
+        low, high = gm.bounded_class_count(g, 4)
+        assert time.perf_counter() - start < 1.0
+        assert low == high >= 2
 
 
 def test_quotient_counts_match_quotient_graph():
@@ -463,3 +487,30 @@ def test_ideal_membership_escalation_stays_bounded(monkeypatch):
     assert gm.ideal_membership(5 * w0, w0) == ("unknown", None)
     assert time.perf_counter() - start < 1.0
     assert built == [24]
+
+
+def test_ideal_membership_reduces_elements_beyond_the_cap():
+    # 25*w lies beyond the cap, but its normal form 12*v + w does not
+    g = make_parallel_pair()
+    v = gm.vertex_element(g, "v")
+    w = gm.vertex_element(g, "w")
+    model = gm.class_model(g)
+    assert not model.in_universe(25 * w)
+    assert model.rep(model.reduced_class(25 * w)) == 12 * v + w
+    assert model.reduced_class(25 * v) is None
+    assert gm.ideal_membership(25 * w, 13 * v) == ("member", (1, w))
+
+
+def test_ideal_membership_escalates_on_small_graphs():
+    # on the edgeless pair 25*a has no member within cap 24; cap 32 holds it
+    g = gm.Graph(("a", "b"), ())
+    a = gm.vertex_element(g, "a")
+    verdict, (k, z) = gm.ideal_membership(25 * a, 13 * a, k_bound=2)
+    assert verdict == "member" and k == 2 and z == (13 * 2 - 25) * a
+
+
+def test_eq3_is_unknown_past_the_class_limit(monkeypatch):
+    monkeypatch.setattr(enumeration, "_CLASS_LIMIT", 3)
+    model = enumeration.ClassModel(ABCD, 24)
+    assert model.eq3(el("b"), el("a + c")) == "equal"
+    assert model.eq3(el("c"), el("d")) == "unknown"

@@ -111,6 +111,22 @@ def test_sweep_refuses_oversized_models():
     assert "too large" in rep.details
 
 
+def test_sweeps_name_the_cap_when_multiples_exceed_it():
+    # size-4 representatives times 3 reach size 12, beyond a cap of 9
+    g = Graph(
+        ("a", "b", "c", "d"),
+        (("a", "a"), ("a", "b"), ("b", "c"), ("c", "c"), ("c", "d")),
+    )
+    reports = [
+        gm.check_separativity(g, cap=9),
+        gm.check_unperforation(g, cap=9),
+        gm.is_prime(gm.parse_element(g, "10*a"), cap=9),
+    ]
+    for rep in reports:
+        assert rep.verdict == "unknown"
+        assert "class cap 9" in rep.details
+
+
 # ----------------------------------------------------------------------
 # primality
 
@@ -185,3 +201,46 @@ def test_refinement_quad_cap_stops_the_whole_sweep(monkeypatch):
     assert len(attempts) == 1
     assert capped.bounds["quad_cap"] == 1
     assert capped.verdict == gm.check_refinement(ABCD).verdict
+
+
+def test_refinement_searches_each_sum_once(monkeypatch):
+    from graphmonoid import properties, rewriting
+
+    searches, tables = [], []
+    real_decide, real_refine = rewriting.decide_eq, properties.refine
+
+    def decide(*args):
+        searches.append(args)
+        return real_decide(*args)
+
+    def refine(*args):
+        out = real_refine(*args)
+        tables.append(isinstance(out, rewriting.Refinement))
+        return out
+
+    monkeypatch.setattr(rewriting, "decide_eq", decide)
+    monkeypatch.setattr(properties, "decide_eq", decide)
+    monkeypatch.setattr(properties, "refine", refine)
+    assert gm.check_refinement(ABCD).verdict == "holds-within-bounds"
+    assert tables and all(tables)
+    # per quadruple: refine's one search of the two sums, then the four
+    # row and column checks of its table
+    assert len(searches) == 5 * len(tables)
+
+
+def test_refinement_counts_only_distinct_sums_as_unknown(monkeypatch):
+    from graphmonoid import properties, rewriting
+
+    def distinct(*args):
+        raise rewriting.DistinctSums("the sums are provably inequivalent")
+
+    monkeypatch.setattr(properties, "refine", distinct)
+    assert gm.check_refinement(ABCD).verdict == "unknown"
+
+    def broken(*args):
+        raise ValueError("trace step does not match its recorded result")
+
+    # an inconsistent trace is a fault, not an unresolved instance
+    monkeypatch.setattr(properties, "refine", broken)
+    with pytest.raises(ValueError, match="trace step"):
+        gm.check_refinement(ABCD)
