@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import CapExceeded, ElementFormatError, GraphFormatError
 from .graphs import Graph, Path, format_graph_text, graph_to_json, parse_graph_text
@@ -38,7 +37,6 @@ from .lattice import (
 from .ktheory import grothendieck_group, matricial_filtration
 from .properties import (
     DEFAULT_N_BOUND,
-    DEFAULT_SIZE_BOUND,
     check_refinement,
     check_separativity,
     check_unperforation,
@@ -49,33 +47,6 @@ _PROPERTY_CHECKS = {
     "unperforation": check_unperforation,
     "refinement": check_refinement,
 }
-
-
-@dataclass
-class Config:
-    """Bundle of tunable bounds collected from command line flags."""
-
-    depth: int = DEFAULT_DEPTH
-    size_bound: int = DEFAULT_SIZE_BOUND
-    n_bound: int = DEFAULT_N_BOUND
-    lattice_cap: int = DEFAULT_LATTICE_CAP
-    reduct_cap: int = DEFAULT_REDUCT_CAP
-    fmt: str = "text"
-
-
-def _config(args: argparse.Namespace) -> Config:
-    cfg = Config()
-    for name in (
-        "depth",
-        "size_bound",
-        "n_bound",
-        "lattice_cap",
-        "reduct_cap",
-        "fmt",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +110,7 @@ def _build_parser() -> _Parser:
         default="separativity,unperforation",
         help="comma separated subset of: " + ", ".join(_PROPERTY_CHECKS),
     )
-    chk.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND)
+    chk.add_argument("--size-bound", type=int)
     chk.add_argument("--n-bound", type=int, default=DEFAULT_N_BOUND)
 
     add("show", "parse a graph and print it back")
@@ -225,13 +196,12 @@ def _witness_text(cls: SimpleClass) -> str:
 
 
 def _run_eq(args) -> int:
-    cfg = _config(args)
     g = _load_graph(args.graph)
     x = parse_element(g, args.lhs)
     y = parse_element(g, args.rhs)
-    verdict = decide_eq(x, y, cfg.depth, cfg.reduct_cap)
+    verdict = decide_eq(x, y, args.depth, args.reduct_cap)
     if isinstance(verdict, Equal):
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             _emit_json(
                 {
                     "verdict": "equal",
@@ -248,7 +218,7 @@ def _run_eq(args) -> int:
         return 0
     if isinstance(verdict, Distinct):
         cert = verdict.certificate
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             _emit_json({"verdict": "distinct", "certificate": cert})
         else:
             print("verdict: distinct")
@@ -258,7 +228,7 @@ def _run_eq(args) -> int:
             print(f"lhs: {_value_text(cert.lhs)}")
             print(f"rhs: {_value_text(cert.rhs)}")
         return 1
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json({"verdict": "unknown", "depth": verdict.depth})
     else:
         print("verdict: unknown")
@@ -267,14 +237,13 @@ def _run_eq(args) -> int:
 
 
 def _run_lattice(args) -> int:
-    cfg = _config(args)
     g = _load_graph(args.graph)
-    report = lattice_report(g, cfg.lattice_cap)
+    report = lattice_report(g, args.lattice_cap)
     member = None
     if args.ideal is not None:
         elem = parse_element(g, args.ideal)
         member = [order_ideal_membership(h, elem) for h in report.sets]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "sets": [sorted(h.members) for h in report.sets],
             "hasse": [list(p) for p in report.hasse],
@@ -308,17 +277,16 @@ def _parse_chain(text: str) -> list[frozenset]:
 
 
 def _run_series(args) -> int:
-    cfg = _config(args)
     g = _load_graph(args.graph)
     if args.validate is not None:
         ok = validate_series(g, _parse_chain(args.validate))
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             _emit_json({"valid": ok})
         else:
             print("valid" if ok else "invalid")
         return 0 if ok else 1
-    series = composition_series(g, cfg.lattice_cap)
-    if cfg.fmt == "json":
+    series = composition_series(g, args.lattice_cap)
+    if args.fmt == "json":
         _emit_json(
             {
                 "sets": [sorted(h.members) for h in series.sets],
@@ -341,7 +309,6 @@ def _run_series(args) -> int:
 
 
 def _run_k0(args) -> int:
-    cfg = _config(args)
     g = _load_graph(args.graph)
     pres = grothendieck_group(g)
     images = {
@@ -350,7 +317,7 @@ def _run_k0(args) -> int:
         )
         for v in g.vertex_order
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json(
             {
                 "free_rank": pres.free_rank,
@@ -368,10 +335,9 @@ def _run_k0(args) -> int:
 
 
 def _run_filtration(args) -> int:
-    cfg = _config(args)
     g = _load_graph(args.graph)
     level = matricial_filtration(g, args.level)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json(
             {
                 "level": level.level,
@@ -396,7 +362,6 @@ def _run_filtration(args) -> int:
 
 
 def _run_check(args) -> int:
-    cfg = _config(args)
     g = _load_graph(args.graph)
     names = [p.strip() for p in args.props.split(",") if p.strip()]
     if not names:
@@ -406,15 +371,12 @@ def _run_check(args) -> int:
             raise ValueError(f"unknown property {name!r}")
     reports = []
     for name in names:
-        if name == "refinement":
-            reports.append(check_refinement(g, depth=cfg.depth))
-        else:
-            reports.append(
-                _PROPERTY_CHECKS[name](
-                    g, size_bound=cfg.size_bound, n_bound=cfg.n_bound
-                )
-            )
-    if cfg.fmt == "json":
+        # refinement has its own default size bound and no scale
+        bounds = {} if name == "refinement" else {"n_bound": args.n_bound}
+        if args.size_bound is not None:
+            bounds["size_bound"] = args.size_bound
+        reports.append(_PROPERTY_CHECKS[name](g, **bounds))
+    if args.fmt == "json":
         _emit_json(
             {
                 "reports": [
@@ -445,9 +407,8 @@ def _run_check(args) -> int:
 
 
 def _run_show(args) -> int:
-    cfg = _config(args)
     g = _load_graph(args.graph)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json(graph_to_json(g))
     else:
         sys.stdout.write(format_graph_text(g))

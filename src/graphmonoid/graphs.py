@@ -30,6 +30,10 @@ from .errors import GraphFormatError
 # A validated subset of some graph's vertices.
 VertexSet = frozenset[str]
 
+# One entry of ``Graph.moves``: a vertex's canonical position and the
+# nonzero (position, change) entries of its move.
+Move = tuple[int, tuple[tuple[int, int], ...]]
+
 _ID_FORBIDDEN = set("#+*,;")
 
 
@@ -101,6 +105,45 @@ class Graph:
     def adjacency(self, v: str, w: str) -> int:
         """Number of edges from ``v`` to ``w``."""
         return sum(1 for i in self.out_edges(v) if self.edges[i][1] == w)
+
+    @cached_property
+    def moves(self) -> dict[str, Move]:
+        """The move table, keyed by the non-sinks in canonical order.
+
+        A move replaces one occurrence of a non-sink ``v`` by ``r(v)``,
+        the sum of its edge targets.  Each entry holds ``v``'s canonical
+        position and the nonzero entries ``(position, change)`` of
+        ``r(v) - v``, by position.
+        """
+        index = self.vertex_index
+        counts: dict[str, dict[int, int]] = {v: {} for v in self.vertices}
+        for src, dst in self.edges:
+            row, j = counts[src], index[dst]
+            row[j] = row.get(j, 0) + 1
+        table = {}
+        for v in self.vertex_order:
+            row = counts[v]
+            if row:
+                pos = index[v]
+                row[pos] = row.get(pos, 0) - 1
+                table[v] = (pos, tuple(sorted((i, d) for i, d in row.items() if d)))
+        return table
+
+    @cached_property
+    def targets(self) -> dict[str, frozenset[str]]:
+        """The set of edge targets of each vertex (empty for a sink)."""
+        table: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for src, dst in self.edges:
+            table[src].add(dst)
+        return {v: frozenset(s) for v, s in table.items()}
+
+    @cached_property
+    def predecessors(self) -> dict[str, frozenset[str]]:
+        """The set of sources of edges into each vertex."""
+        table: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for src, dst in self.edges:
+            table[dst].add(src)
+        return {v: frozenset(s) for v, s in table.items()}
 
     @cached_property
     def adjacency_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -197,27 +240,26 @@ def is_hereditary(g: Graph, subset: Iterable[str]) -> bool:
     return all(w in members for v in members for w in g.ranges_from(v))
 
 
-def _is_saturated(g: Graph, members: VertexSet) -> bool:
-    for v in g.vertices:
-        if v in members or g.is_sink(v):
-            continue
-        if all(w in members for w in g.ranges_from(v)):
-            return False
-    return True
+def _saturate(
+    g: Graph, members: VertexSet, fresh: Iterable[str] | None = None
+) -> VertexSet:
+    """Least saturated superset of ``members``.
 
-
-def _saturate(g: Graph, members: VertexSet) -> VertexSet:
-    current = set(members)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v in current or g.is_sink(v):
-                continue
-            if all(w in current for w in g.ranges_from(v)):
-                current.add(v)
-                changed = True
-    return frozenset(current)
+    A vertex can only join once one of its edge targets has joined, so a
+    worklist visits just the predecessors of new members.  ``fresh``
+    names the members to start from when the others are already known
+    to be saturated; by default every member is a start.
+    """
+    grown = set(members)
+    targets, preds = g.targets, g.predecessors
+    work = [u for w in (members if fresh is None else fresh) for u in preds[w]]
+    while work:
+        u = work.pop()
+        # sinks have no successors, so none is ever a predecessor
+        if u not in grown and targets[u] <= grown:
+            grown.add(u)
+            work.extend(preds[u])
+    return frozenset(grown)
 
 
 def saturate(g: Graph, subset: Iterable[str]) -> VertexSet:

@@ -93,7 +93,6 @@ def complete(g: Graph, deleted: frozenset = frozenset()) -> Completion:
 @lru_cache(maxsize=64)
 def _complete(g: Graph, deleted: frozenset) -> Completion:
     order = g.vertex_order
-    index = g.vertex_index
     n = len(order)
     for v in deleted:
         g.require_vertex(v)
@@ -102,10 +101,10 @@ def _complete(g: Graph, deleted: frozenset) -> Completion:
         unit = tuple(int(q == p) for q in range(n))
         if v in deleted:
             todo.append((unit, (0,) * n))
-        elif not g.is_sink(v):
-            image = [0] * n
-            for w in g.ranges_from(v):
-                image[index[w]] += 1
+        elif v in g.moves:
+            image = list(unit)
+            for i, d in g.moves[v][1]:
+                image[i] += d
             todo.append((unit, tuple(image)))
 
     live: dict[int, tuple[Vector, Vector]] = {}

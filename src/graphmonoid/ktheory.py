@@ -205,17 +205,14 @@ class RelationMatrix:
 
 
 def relation_matrix(g: Graph) -> RelationMatrix:
-    order = g.vertex_order
-    index = g.vertex_index
-    row_vertices = tuple(v for v in order if not g.is_sink(v))
+    """The rows are the negated moves of ``g.moves``, in its order."""
     rows = []
-    for v in row_vertices:
-        row = [0] * len(order)
-        row[index[v]] += 1
-        for w in g.ranges_from(v):
-            row[index[w]] -= 1
+    for _, delta in g.moves.values():
+        row = [0] * len(g.vertices)
+        for i, d in delta:
+            row[i] = -d
         rows.append(row)
-    return RelationMatrix(g, row_vertices, _freeze(rows))
+    return RelationMatrix(g, tuple(g.moves), _freeze(rows))
 
 
 @dataclass(frozen=True)

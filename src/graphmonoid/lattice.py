@@ -84,30 +84,14 @@ def _hsat_covers(g: Graph, cap: int) -> dict[VertexSet, list[VertexSet]]:
     A result is minimal when every one of its vertices outside C
     generates it (a smaller result would be generated by one of them),
     so counting generators finds the covers.  Each closure saturates
-    through a worklist: C is already saturated, so only vertices with an
-    edge into the added part can join.
+    from the added part only, since C is already saturated.
     """
     names = g.vertex_order
     if len(names) > cap:
         raise CapExceeded(
             f"lattice enumeration over {len(names)} vertices exceeds cap {cap}"
         )
-    preds: dict[str, set[str]] = {v: set() for v in names}
-    for s, t in g.edges:
-        preds[t].add(s)
-    targets = {v: frozenset(g.ranges_from(v)) for v in names}
     trees = {v: tree(g, v) for v in names}
-
-    def closure(base: VertexSet, v: str) -> VertexSet:
-        grown = set(base | trees[v])
-        work = [u for w in trees[v] - base for u in preds[w]]
-        while work:
-            u = work.pop()
-            if u not in grown and targets[u] <= grown:
-                grown.add(u)
-                work.extend(preds[u])
-        return frozenset(grown)
-
     bottom = _saturate(g, frozenset())
     covers: dict[VertexSet, list[VertexSet]] = {}
     queue = deque([bottom])
@@ -115,7 +99,11 @@ def _hsat_covers(g: Graph, cap: int) -> dict[VertexSet, list[VertexSet]]:
         current = queue.popleft()
         if current in covers:
             continue
-        found = Counter(closure(current, v) for v in names if v not in current)
+        found = Counter(
+            _saturate(g, current | trees[v], trees[v] - current)
+            for v in names
+            if v not in current
+        )
         ups = [d for d, k in found.items() if k == len(d) - len(current)]
         covers[current] = ups
         queue.extend(ups)

@@ -455,7 +455,6 @@ def primes_up_to(
 def check_refinement(
     g: Graph,
     size_bound: int = 3,
-    depth: int = DEFAULT_DEPTH,
     cap: int = DEFAULT_CLASS_CAP,
     quad_cap: int = 200,
 ) -> PropertyReport:

@@ -2,7 +2,10 @@
 
 The monoid presented by a graph identifies each non-sink vertex with the
 sum of its edge targets.  Working in the free monoid, a single move
-replaces one occurrence of a non-sink ``v`` by that sum; two elements
+replaces one occurrence of a non-sink ``v`` by that sum; every move is
+read from the graph's move table, ``Graph.moves``, and one level-by-level
+expansion serves every search here (``reduct_set``,
+``exhaustive_reducts`` and both sides of ``decide_eq``).  Two elements
 represent the same monoid class exactly when some chain of moves links
 them.  Moves never shrink an element and distinct moves from a common
 element rejoin in one further move each, so two equivalent elements
@@ -23,47 +26,41 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
 from .errors import CapExceeded
-from .graphs import Graph, is_acyclic, sink_distribution
-from .elements import MonoidElement, from_counts
+from .graphs import Graph, Move, is_acyclic, sink_distribution
+from .elements import MonoidElement, from_counts, vertex_element
 from .certificates import Certificate, distinctness_certificate
 
 DEFAULT_DEPTH = 12
 DEFAULT_REDUCT_CAP = 100_000
 
 
-def zigzag_budget(d: int) -> int:
-    """A search depth sufficient to rejoin the ends of ``d`` elementary
-    moves.  Strong confluence bounds the rejoin distance by ``d`` itself;
-    the slack covers callers who only estimate ``d``."""
-    return 4 * d + 8
+def _move(x: MonoidElement, move: Move) -> MonoidElement:
+    # one entry of the graph's move table applied to x, which holds the
+    # moved vertex
+    counts = list(x.counts)
+    for i, d in move[1]:
+        counts[i] += d
+    return MonoidElement(x.graph, tuple(counts))
 
 
 def r_of(g: Graph, v: str) -> MonoidElement:
     """The replacement of a non-sink vertex: the sum of its edge targets."""
     g.require_vertex(v)
-    if g.is_sink(v):
+    if v not in g.moves:
         raise ValueError(f"vertex {v!r} is a sink and has no replacement")
-    counts = [0] * len(g.vertices)
-    index = g.vertex_index
-    for w in g.ranges_from(v):
-        counts[index[w]] += 1
-    return MonoidElement(g, tuple(counts))
+    return _move(vertex_element(g, v), g.moves[v])
 
 
 def apply_rewrite(x: MonoidElement, v: str) -> MonoidElement:
     """Replace one occurrence of ``v`` in ``x`` by its edge targets."""
     g = x.graph
     g.require_vertex(v)
-    if g.is_sink(v):
+    if v not in g.moves:
         raise ValueError(f"vertex {v!r} is a sink and cannot be rewritten")
-    pos = g.vertex_index[v]
-    if x.counts[pos] < 1:
+    move = g.moves[v]
+    if x.counts[move[0]] < 1:
         raise ValueError(f"element has no occurrence of {v!r}")
-    counts = list(x.counts)
-    counts[pos] -= 1
-    for w in g.ranges_from(v):
-        counts[g.vertex_index[w]] += 1
-    return MonoidElement(g, tuple(counts))
+    return _move(x, move)
 
 
 def successors(x: MonoidElement) -> list[tuple[str, MonoidElement]]:
@@ -72,16 +69,32 @@ def successors(x: MonoidElement) -> list[tuple[str, MonoidElement]]:
     Rewriting different occurrences of the same vertex gives the same
     multiset, so each rewritable vertex contributes one successor.
     """
-    g = x.graph
-    out = []
-    for pos, v in enumerate(g.vertex_order):
-        if x.counts[pos] and not g.is_sink(v):
-            counts = list(x.counts)
-            counts[pos] -= 1
-            for w in g.ranges_from(v):
-                counts[g.vertex_index[w]] += 1
-            out.append((v, MonoidElement(g, tuple(counts))))
-    return out
+    counts = x.counts
+    return [
+        (v, _move(x, move))
+        for v, move in x.graph.moves.items()
+        if counts[move[0]]
+    ]
+
+
+def _expand(
+    frontier: list, parents: dict, cap: int, other=()
+) -> tuple[list, bool, list]:
+    # one move deeper: every new reduct of the frontier is recorded in
+    # ``parents`` with the state and vertex it came from.  Returns the
+    # new frontier, whether the cap cut the expansion short, and the new
+    # reducts that also lie in ``other``.
+    nxt, hits = [], []
+    for e in frontier:
+        for v, s in successors(e):
+            if s not in parents:
+                if len(parents) >= cap:
+                    return nxt, True, hits
+                parents[s] = (e, v)
+                nxt.append(s)
+                if s in other:
+                    hits.append(s)
+    return nxt, False, hits
 
 
 def reduct_set(
@@ -90,40 +103,28 @@ def reduct_set(
     """Everything reachable from ``x`` in at most ``depth`` moves."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    seen = {x}
+    parents: dict = {x: None}
     frontier = [x]
     for _ in range(depth):
-        nxt = []
-        for e in frontier:
-            for _, s in successors(e):
-                if s not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"reduct set exceeds cap {cap}")
-                    seen.add(s)
-                    nxt.append(s)
-        if not nxt:
+        frontier, capped, _ = _expand(frontier, parents, cap)
+        if capped:
+            raise CapExceeded(f"reduct set exceeds cap {cap}")
+        if not frontier:
             break
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(parents)
 
 
 def exhaustive_reducts(
     x: MonoidElement, cap: int = DEFAULT_REDUCT_CAP
 ) -> Optional[frozenset]:
     """The full reachable set of ``x``, or None if it outgrows the cap."""
-    seen = {x}
+    parents: dict = {x: None}
     frontier = [x]
     while frontier:
-        nxt = []
-        for e in frontier:
-            for _, s in successors(e):
-                if s not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return frozenset(seen)
+        frontier, capped, _ = _expand(frontier, parents, cap)
+        if capped:
+            return None
+    return frozenset(parents)
 
 
 def normal_form(x: MonoidElement) -> MonoidElement:
@@ -159,11 +160,12 @@ class RewriteTrace:
 def validate_trace(trace: RewriteTrace) -> bool:
     """Replay a trace move by move and confirm every step is legal."""
     current = trace.start
-    g = current.graph
+    moves = current.graph.moves
     for v, after in trace.steps:
-        if v not in g or g.is_sink(v) or current.count(v) < 1:
+        move = moves.get(v)
+        if move is None or current.counts[move[0]] < 1:
             return False
-        if apply_rewrite(current, v) != after:
+        if _move(current, move) != after:
             return False
         current = after
     return True
@@ -248,21 +250,6 @@ def _bfs_meet(
     frontier_x, frontier_y = [x], [y]
     capped_x = capped_y = False
 
-    def expand(frontier, parents, other):
-        # one move deeper on one side; returns the new frontier, whether
-        # the cap cut the expansion short, and any meets discovered
-        nxt, hits = [], []
-        for e in frontier:
-            for v, s in successors(e):
-                if s not in parents:
-                    if len(parents) >= reduct_cap:
-                        return nxt, True, hits
-                    parents[s] = (e, v)
-                    nxt.append(s)
-                    if s in other:
-                        hits.append(s)
-        return nxt, False, hits
-
     def equal_via(meet: MonoidElement) -> Equal:
         return Equal(
             meet, _trace_to(parents_x, x, meet), _trace_to(parents_y, y, meet)
@@ -270,11 +257,15 @@ def _bfs_meet(
 
     for level in range(depth):
         if not capped_x:
-            frontier_x, capped_x, hits = expand(frontier_x, parents_x, parents_y)
+            frontier_x, capped_x, hits = _expand(
+                frontier_x, parents_x, reduct_cap, parents_y
+            )
             if hits:
                 return equal_via(min(hits, key=lambda e: (e.size, e.counts)))
         if not capped_y:
-            frontier_y, capped_y, hits = expand(frontier_y, parents_y, parents_x)
+            frontier_y, capped_y, hits = _expand(
+                frontier_y, parents_y, reduct_cap, parents_x
+            )
             if hits:
                 return equal_via(min(hits, key=lambda e: (e.size, e.counts)))
         done_x = capped_x or not frontier_x

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 from graphmonoid import Graph
 
@@ -94,6 +94,16 @@ def small_corpus(max_vertices: int = 3, max_edges: int = 4) -> list[Graph]:
                 )
     out.append(make_abcd())
     return out
+
+
+@st.composite
+def small_graphs(draw):
+    """Random multigraphs on 1-4 vertices with up to two edges each."""
+    n = draw(st.integers(1, 4))
+    names = tuple(f"v{i}" for i in range(n))
+    vertex = st.sampled_from(names)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return Graph(names, tuple(edges))
 
 
 _CORPUS = None

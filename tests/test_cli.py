@@ -159,6 +159,18 @@ def test_check_refinement(abcd_file, capsys):
     assert "refinement: holds-within-bounds" in out
 
 
+def test_check_size_bound_reaches_every_property(abcd_file, capsys):
+    argv = ["check", abcd_file, "--props", "refinement,separativity"]
+    argv += ["--format", "json"]
+    _, out, _ = run(capsys, *argv)
+    reports = json.loads(out)["reports"]
+    # without the flag each property keeps its own default bound
+    assert [r["bounds"]["size_bound"] for r in reports] == [3, 4]
+    _, out, _ = run(capsys, *argv, "--size-bound", "2")
+    reports = json.loads(out)["reports"]
+    assert [r["bounds"]["size_bound"] for r in reports] == [2, 2]
+
+
 def test_check_unknown_exit(tmp_path, capsys):
     g = gm.Graph(tuple(f"v{i}" for i in range(11)), (("v0", "v0"),))
     path = tmp_path / "wide.graph"

@@ -13,7 +13,14 @@ from graphmonoid.certificates import _quotient_data, _quotient_image
 from graphmonoid.knuth_bendix import _complete
 from graphmonoid.elements import count_vectors
 
-from conftest import corpus, make_abcd, make_bouquet, make_fork, make_parallel_pair
+from conftest import (
+    corpus,
+    make_abcd,
+    make_bouquet,
+    make_fork,
+    make_parallel_pair,
+    small_graphs,
+)
 
 ABCD = make_abcd()
 
@@ -278,15 +285,6 @@ def test_model_matches_tuple_model_on_corpus():
     for g in corpus():
         for cap in range(1, 11):
             _check_against_tuple_model(g, cap)
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 4))
-    names = tuple(f"v{i}" for i in range(n))
-    vertex = st.sampled_from(names)
-    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
-    return gm.Graph(names, tuple(edges))
 
 
 @given(small_graphs(), st.integers(1, 10))

@@ -213,11 +213,6 @@ def test_certificates_reject_corruption():
     assert not gm.check_certificate(forged, d, c)
 
 
-def test_zigzag_budget_growth():
-    assert gm.zigzag_budget(0) == 8
-    assert gm.zigzag_budget(6) == 32
-
-
 @given(st.integers(0, 108), st.integers(0, 10**6))
 def test_random_zigzags_stay_equal(graph_idx, seed):
     g = corpus()[graph_idx]
