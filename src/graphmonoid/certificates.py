@@ -19,7 +19,6 @@ right refutes divisibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -28,9 +27,10 @@ from .graphs import Graph, hsat_closure, is_acyclic, sink_distribution, sinks
 from .elements import MonoidElement
 from .ktheory import GroupPresentation, grothendieck_group
 from .lattice import enumerate_hsat, quotient_graph
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """A named invariant with its computed value on each element.
 

@@ -10,27 +10,50 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ElementFormatError
 from .graphs import Graph
+from .records import frozen_delattr, frozen_setattr
 
 
-@dataclass(frozen=True)
 class MonoidElement:
-    """A formal nonnegative integer combination of vertices."""
+    """A formal nonnegative integer combination of vertices.
+
+    An immutable value: equality and hashing go by ``(graph, counts)``.
+    Its methods are written out rather than built by ``records.record``,
+    since searches build and hash elements once per state.
+    """
 
     graph: Graph
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) != len(self.graph.vertices):
+    def __init__(self, graph: Graph, counts: Iterable[int]) -> None:
+        counts = tuple(int(c) for c in counts)
+        if len(counts) != len(graph.vertices):
             raise ValueError("count vector length does not match the graph")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "counts", counts)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}"
+            f"(graph={self.graph!r}, counts={self.counts!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.graph, self.counts) == (other.graph, other.counts)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.counts))
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
 
     @cached_property
     def size(self) -> int:

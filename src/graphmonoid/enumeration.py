@@ -351,12 +351,17 @@ def ideal_membership(
 
     Returns ``("member", (k, z))`` with a proven witness ``x + z``
     equivalent to ``k`` copies of ``y``, ``("not-member", certificate)``
-    with a checkable refutation, or ``("unknown", reason)``.  The witness
-    multiple is searched up to ``k_bound`` and the addition ``z`` among
-    those that keep ``x + z`` within the cap; an empty search retries at
-    the cap plus 8 and plus 16, while the count vectors up to that size
-    number at most ``_ESCALATION_LIMIT``.  ``reason`` is None when the
-    search comes back empty and names the cap when one stopped it.
+    or ``("unknown", reason)``.  ``not-member`` is only answered with a
+    certificate that refutes every multiple of ``y``: ``zero`` (``y`` is
+    zero) or ``support-bound`` (``x``'s support lies outside the closure
+    of ``y``'s, which no multiple enlarges).  The witness multiple is
+    searched up to ``k_bound`` and the addition ``z`` among those that
+    keep ``x + z`` within the cap; an empty search retries at the cap
+    plus 8 and plus 16, while the count vectors up to that size number at
+    most ``_ESCALATION_LIMIT``.  ``reason`` names ``k_bound`` when an
+    obstruction refutes the multiples up to it (a larger multiple may
+    still work), names the cap when one stopped the search, and is None
+    when the search comes back empty.
     """
     if x.graph != y.graph:
         raise ValueError("elements belong to different graphs")
@@ -366,10 +371,16 @@ def ideal_membership(
     if y.is_zero:
         return ("not-member", Certificate("zero", None, False, True))
     # membership is monotone in the multiple, so one obstruction at the
-    # largest multiple refutes the whole bounded question
+    # largest multiple refutes every multiple up to it; only a support
+    # bound also refutes the larger ones
     blocked = leq_obstruction(x, y * k_bound)
     if blocked is not None:
-        return ("not-member", blocked)
+        if blocked.invariant == "support-bound":
+            return ("not-member", blocked)
+        return (
+            "unknown",
+            f"{blocked.invariant} refutes every multiple up to k_bound={k_bound}",
+        )
     n = len(g.vertices)
     try:
         for attempt in (cap, cap + 8, cap + 16):

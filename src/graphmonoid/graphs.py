@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphFormatError
+from .records import frozen_delattr, frozen_setattr, record
 
 # A validated subset of some graph's vertices.
 VertexSet = frozenset[str]
@@ -44,27 +44,52 @@ def _check_vertex_id(name: str) -> None:
         raise ValueError(f"invalid vertex identifier {name!r}")
 
 
-@dataclass(frozen=True)
 class Graph:
-    """A finite directed multigraph with string vertex identifiers."""
+    """A finite directed multigraph with string vertex identifiers.
+
+    An immutable value: equality and hashing go by ``(vertices, edges)``.
+    Its methods are written out rather than built by ``records.record``,
+    since searches compare and hash graphs once per state.
+    """
 
     vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...] = ()
+    edges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((s, t) for s, t in self.edges))
+    def __init__(
+        self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()
+    ) -> None:
+        vertices = tuple(vertices)
+        edges = tuple((s, t) for s, t in edges)
         declared = set()
-        for name in self.vertices:
+        for name in vertices:
             _check_vertex_id(name)
             if name in declared:
                 raise ValueError(f"duplicate vertex {name!r}")
             declared.add(name)
-        for pos, (src, dst) in enumerate(self.edges):
+        for pos, (src, dst) in enumerate(edges):
             if src not in declared:
                 raise ValueError(f"edge {pos} has undeclared source {src!r}")
             if dst not in declared:
                 raise ValueError(f"edge {pos} has undeclared target {dst!r}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}"
+            f"(vertices={self.vertices!r}, edges={self.edges!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.vertices, self.edges) == (other.vertices, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
 
     # ------------------------------------------------------------------
     # canonical order and lookups
@@ -161,7 +186,7 @@ class Graph:
         return v in self._out
 
 
-@dataclass(frozen=True)
+@record
 class Path:
     """A nonempty composable sequence of edge indices in a fixed graph."""
 

@@ -12,11 +12,11 @@ stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .graphs import Graph, sinks
+from .records import record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -195,7 +195,7 @@ def verify_smith(m: Sequence[Sequence[int]], u: Matrix, d: Matrix, v: Matrix) ->
 # the graph's relation matrix and its cokernel
 
 
-@dataclass(frozen=True)
+@record
 class RelationMatrix:
     """One row per non-sink: the vertex minus the sum of its edge targets."""
 
@@ -215,7 +215,7 @@ def relation_matrix(g: Graph) -> RelationMatrix:
     return RelationMatrix(g, tuple(g.moves), _freeze(rows))
 
 
-@dataclass(frozen=True)
+@record
 class GroupPresentation:
     """The cokernel of a relation matrix, in coordinates.
 
@@ -316,7 +316,7 @@ def path_counts(g: Graph, length: int) -> dict[str, int]:
     return counts
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     """One matrix block: a vertex, a path count and the stage it froze at."""
 
@@ -329,7 +329,7 @@ class Block:
         return self.size == 0
 
 
-@dataclass(frozen=True)
+@record
 class FiltrationLevel:
     level: int
     blocks: tuple[Block, ...]

@@ -13,7 +13,6 @@ their loop structure.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import CapExceeded
@@ -31,6 +30,7 @@ from .graphs import (
     tree,
 )
 from .elements import MonoidElement
+from .records import record
 
 DEFAULT_LATTICE_CAP = 20
 
@@ -39,7 +39,7 @@ def _set_key(members: VertexSet) -> tuple[int, tuple[str, ...]]:
     return (len(members), tuple(sorted(members)))
 
 
-@dataclass(frozen=True)
+@record
 class HSatSet:
     """A vertex subset that is both hereditary and saturated."""
 
@@ -123,7 +123,7 @@ def enumerate_hsat(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> tuple[HSatSet, .
     return tuple(HSatSet(g, m) for m in found)
 
 
-@dataclass(frozen=True)
+@record
 class LatticeReport:
     """The full lattice: its sets, covering pairs and operation tables."""
 
@@ -196,7 +196,7 @@ def restriction_graph(g: Graph, h: HSatSet) -> Graph:
 # composition series and simple quotients
 
 
-@dataclass(frozen=True)
+@record
 class SimpleClass:
     """Classification of a simple quotient by its loop structure.
 
@@ -231,7 +231,7 @@ def classify_simple(g: Graph) -> SimpleClass:
     return SimpleClass("LoopsWithExitType", None)
 
 
-@dataclass(frozen=True)
+@record
 class SeriesStep:
     """One step of a composition series: its boundary sets, the simple
     subquotient graph between them, and that graph's classification."""
@@ -242,7 +242,7 @@ class SeriesStep:
     classification: SimpleClass
 
 
-@dataclass(frozen=True)
+@record
 class CompositionSeries:
     graph: Graph
     sets: tuple[HSatSet, ...]

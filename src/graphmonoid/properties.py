@@ -13,8 +13,7 @@ claiming the property.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import Optional, Union
 
 from .errors import CapExceeded
 from .graphs import Graph, is_acyclic
@@ -32,6 +31,7 @@ from .rewriting import (
     refine,
 )
 from .enumeration import DEFAULT_CLASS_CAP, ClassModel, class_model
+from .records import record
 
 DEFAULT_SIZE_BOUND = 4
 DEFAULT_N_BOUND = 3
@@ -43,26 +43,26 @@ _CONFIRM_DEPTH = 40
 # the algebraic order
 
 
-@dataclass(frozen=True)
+@record
 class LeqTrue:
     """``x + witness`` is equivalent to ``y``; the evidence proves it."""
 
-    verdict: ClassVar[str] = "true"
+    verdict = "true"
     witness: MonoidElement
     evidence: Equal
 
 
-@dataclass(frozen=True)
+@record
 class LeqFalse:
     """No addition can work; the certificate refutes every candidate."""
 
-    verdict: ClassVar[str] = "false"
+    verdict = "false"
     certificate: Certificate
 
 
-@dataclass(frozen=True)
+@record
 class LeqUnknown:
-    verdict: ClassVar[str] = "unknown"
+    verdict = "unknown"
     depth: int
 
 
@@ -114,7 +114,7 @@ def leq(
 # property reports
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
     """Outcome of a bounded sweep for one property.
 

@@ -22,13 +22,13 @@ checkable invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import Optional, Union
 
 from .errors import CapExceeded
 from .graphs import Graph, Move, is_acyclic, sink_distribution
 from .elements import MonoidElement, from_counts, vertex_element
 from .certificates import Certificate, distinctness_certificate
+from .records import record
 
 DEFAULT_DEPTH = 12
 DEFAULT_REDUCT_CAP = 100_000
@@ -139,7 +139,7 @@ def normal_form(x: MonoidElement) -> MonoidElement:
 # traces
 
 
-@dataclass(frozen=True)
+@record
 class RewriteTrace:
     """A start element and the successive single moves applied to it.
 
@@ -189,29 +189,29 @@ def _normalizing_trace(x: MonoidElement) -> RewriteTrace:
 # verdicts
 
 
-@dataclass(frozen=True)
+@record
 class Equal:
     """Both inputs rewrite to ``reduct``; the traces prove it."""
 
-    verdict: ClassVar[str] = "equal"
+    verdict = "equal"
     reduct: MonoidElement
     lhs_trace: RewriteTrace
     rhs_trace: RewriteTrace
 
 
-@dataclass(frozen=True)
+@record
 class Distinct:
     """The inputs are inequivalent; the certificate proves it."""
 
-    verdict: ClassVar[str] = "distinct"
+    verdict = "distinct"
     certificate: Certificate
 
 
-@dataclass(frozen=True)
+@record
 class Unknown:
     """Search ended without a proof either way at the reported depth."""
 
-    verdict: ClassVar[str] = "unknown"
+    verdict = "unknown"
     depth: int
 
 
@@ -346,7 +346,7 @@ def split(
     return a1, a2
 
 
-@dataclass(frozen=True)
+@record
 class Refinement:
     """A 2x2 table refining two splits of a common class.
 

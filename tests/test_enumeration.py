@@ -445,13 +445,27 @@ def test_ideal_membership_multiple_needed():
     g = make_parallel_pair()
     v = gm.vertex_element(g, "v")
     w = gm.vertex_element(g, "w")
-    # v is two w's, so three w's need two copies of v
-    verdict, cert = gm.ideal_membership(3 * w, v, k_bound=1)
-    assert verdict == "not-member"
+    # v is two w's, so three w's need two copies of v: the obstruction
+    # at k_bound=1 refutes one copy, not the ideal
+    verdict, reason = gm.ideal_membership(3 * w, v, k_bound=1)
+    assert verdict == "unknown"
+    assert "k_bound=1" in reason
+    cert = gm.leq_obstruction(3 * w, v)
     assert cert.invariant == "restriction-sink-dominance"
     assert gm.check_certificate(cert, 3 * w, v)
     verdict, data = gm.ideal_membership(3 * w, v, k_bound=2)
     assert verdict == "member"
+
+
+def test_ideal_membership_sink_multiple_beyond_k_bound():
+    # 5*s lies in the ideal of s (five copies), past the default k_bound
+    # of 3; an obstruction at 3*s must not be reported as a refutation
+    g = gm.Graph(("s",), ())
+    s = gm.vertex_element(g, "s")
+    verdict, reason = gm.ideal_membership(5 * s, s)
+    assert verdict == "unknown"
+    assert "k_bound=3" in reason
+    assert gm.ideal_membership(5 * s, s, k_bound=5) == ("member", (5, gm.zero(g)))
 
 
 def test_ideal_membership_zero_cases():
