@@ -7,14 +7,23 @@ search that produced the certificate was conducted.  Certificates are
 therefore the package's proof objects for negative answers: anyone can
 recompute both sides with :func:`check_certificate`.
 
-Three families are used.  The group completion of the graph's monoid
-(and of each of its quotients by a hereditary saturated set) is constant
-on rewrite classes.  The least hereditary saturated set containing an
-element's support is also constant: rewriting a vertex pushes support
-along edges, and saturation pulls it back.  Finally, on acyclic graphs
-(and acyclic quotients) the sink weights of the normal form decide the
-algebraic order exactly, so a sink where the left side outweighs the
-right refutes divisibility.
+Two invariants decide distinctness completely.  The least hereditary
+saturated set containing an element's support (its support closure) is
+constant on rewrite classes: rewriting a vertex pushes support along
+edges, and saturation pulls it back.  When two elements share a closure
+H, their images in the group completion of the restriction of the graph
+to H decide the rest.  Forward moves stay inside H, both elements
+generate the whole order ideal of H, and the restriction's monoid is
+separative, so equal images there force equal classes (Ara, Goodearl,
+O'Meara and Pardo, Israel J. Math. 105 (1998), Lemma 2.1).  The group
+completion of the whole graph is consulted first, and the restriction's
+only when H is a nonempty proper subset; a pair no certificate separates
+is therefore equivalent.
+
+The algebraic order has certificates of its own.  On acyclic graphs
+(and acyclic quotients) the sink weights of the normal form decide it
+exactly, so a sink where the left side outweighs the right refutes
+divisibility.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from typing import Optional
 from .errors import CapExceeded
 from .graphs import Graph, hsat_closure, is_acyclic, sink_distribution, sinks
 from .elements import MonoidElement
-from .ktheory import GroupPresentation, grothendieck_group
-from .lattice import enumerate_hsat, quotient_graph
+from .ktheory import grothendieck_group
+from .lattice import HSatSet, enumerate_hsat, quotient_graph, restriction_graph
 from .records import record
 
 
@@ -34,8 +43,11 @@ from .records import record
 class Certificate:
     """A named invariant with its computed value on each element.
 
-    ``context`` names the deleted vertex set for quotient invariants and
-    is None for invariants of the graph itself.
+    ``context`` names the vertices an invariant is computed on: the
+    shared support closure for ``restriction-grothendieck`` and the
+    surviving vertices of an acyclic quotient for
+    ``restriction-sink-dominance``.  It is None for invariants of the
+    graph itself.
     """
 
     invariant: str
@@ -46,8 +58,8 @@ class Certificate:
 
 # The graph-keyed caches are bounded so a long-lived process does not
 # grow with every graph it sees.  The largest batch of the `bench/`
-# workloads fills at most about 860 closures, 130 group completions and
-# 12 quotient tables.
+# workloads fills at most about 860 closures, 45 group completions and
+# 13 restrictions.
 @lru_cache(maxsize=4096)
 def _closure(g: Graph, support: frozenset) -> frozenset:
     return hsat_closure(g, support)
@@ -59,41 +71,20 @@ def support_closure(x: MonoidElement) -> frozenset:
 
 
 @lru_cache(maxsize=128)
-def _quotient_data(
-    g: Graph,
-) -> tuple[tuple[tuple[str, ...], Graph, GroupPresentation], ...]:
-    # one entry per proper hereditary saturated set, the empty set first
-    try:
-        hsats = enumerate_hsat(g)
-    except CapExceeded:
-        hsats = ()
-    entries = []
-    for h in hsats:
-        if h.members == frozenset(g.vertices):
-            continue
-        q = quotient_graph(g, h)
-        entries.append((tuple(sorted(h.members)), q, grothendieck_group(q)))
-    if not entries and g.vertices:
-        entries.append(((), g, grothendieck_group(g)))
-    return tuple(entries)
+def _restriction(g: Graph, members: frozenset) -> Graph:
+    # the restriction to a hereditary saturated set
+    return restriction_graph(g, HSatSet(g, members))
 
 
-def _quotient_image(
-    q: Graph, pres: GroupPresentation, x: MonoidElement
-) -> tuple[int, ...]:
-    return pres.image_of_vec(tuple(x.count(v) for v in q.vertex_order))
+def _image(q: Graph, x: MonoidElement) -> tuple[int, ...]:
+    # x's image in K0 of q, a graph whose vertices hold x's support
+    vec = tuple(x.count(v) for v in q.vertex_order)
+    return grothendieck_group(q).image_of_vec(vec)
 
 
 def _sink_vector(q: Graph, x: MonoidElement) -> tuple[int, ...]:
     dist = sink_distribution(q, {v: x.count(v) for v in q.vertices})
     return tuple(dist.get(s, 0) for s in sorted(sinks(q)))
-
-
-def _entry_for(g: Graph, context: tuple[str, ...]):
-    for ctx, q, pres in _quotient_data(g):
-        if ctx == context:
-            return q, pres
-    return None
 
 
 @lru_cache(maxsize=128)
@@ -102,9 +93,7 @@ def _restriction_quotients(
 ) -> tuple[tuple[tuple[str, ...], Graph], ...]:
     # acyclic quotients of the restriction to a hereditary saturated set,
     # keyed by their surviving vertices
-    from .lattice import HSatSet, quotient_graph, restriction_graph
-
-    inner = restriction_graph(g, HSatSet(g, members))
+    inner = _restriction(g, members)
     try:
         hsats = enumerate_hsat(inner)
     except CapExceeded:
@@ -120,22 +109,26 @@ def _restriction_quotients(
 def distinctness_certificate(
     x: MonoidElement, y: MonoidElement
 ) -> Optional[Certificate]:
-    """An invariant separating the two classes, or None if none applies."""
+    """An invariant separating the two classes, or None when the
+    elements are equivalent."""
     if x.graph != y.graph:
         raise ValueError("elements belong to different graphs")
     if x.is_zero != y.is_zero:
         return Certificate("zero", None, x.is_zero, y.is_zero)
-    cx = tuple(sorted(support_closure(x)))
+    h = support_closure(x)
+    cx = tuple(sorted(h))
     cy = tuple(sorted(support_closure(y)))
     if cx != cy:
         return Certificate("support-closure", None, cx, cy)
-    for ctx, q, pres in _quotient_data(x.graph):
-        ix = _quotient_image(q, pres, x)
-        iy = _quotient_image(q, pres, y)
+    g = x.graph
+    ix, iy = _image(g, x), _image(g, y)
+    if ix != iy:
+        return Certificate("grothendieck", None, ix, iy)
+    if h and len(h) < len(g.vertices):
+        inner = _restriction(g, h)
+        ix, iy = _image(inner, x), _image(inner, y)
         if ix != iy:
-            if ctx:
-                return Certificate("quotient-grothendieck", ctx, ix, iy)
-            return Certificate("grothendieck", None, ix, iy)
+            return Certificate("restriction-grothendieck", cx, ix, iy)
     return None
 
 
@@ -183,13 +176,19 @@ def check_certificate(
         lhs = tuple(sorted(support_closure(x)))
         rhs = tuple(sorted(support_closure(y)))
         holds = lhs != rhs
-    elif kind in ("grothendieck", "quotient-grothendieck"):
-        found = _entry_for(g, cert.context or ())
-        if found is None:
+    elif kind == "grothendieck":
+        if cert.context is not None:
             return False
-        q, pres = found
-        lhs = _quotient_image(q, pres, x)
-        rhs = _quotient_image(q, pres, y)
+        lhs = _image(g, x)
+        rhs = _image(g, y)
+        holds = lhs != rhs
+    elif kind == "restriction-grothendieck":
+        h = support_closure(x)
+        if cert.context != tuple(sorted(h)) or support_closure(y) != h:
+            return False
+        inner = _restriction(g, h)
+        lhs = _image(inner, x)
+        rhs = _image(inner, y)
         holds = lhs != rhs
     elif kind == "support-bound":
         lhs = tuple(sorted(x.support))
@@ -211,16 +210,6 @@ def check_certificate(
         lhs = _sink_vector(q, x)
         rhs = _sink_vector(q, y)
         holds = any(a > b for a, b in zip(lhs, rhs))
-    elif kind == "disjoint-reducts":
-        from .rewriting import exhaustive_reducts
-
-        rx = exhaustive_reducts(x)
-        ry = exhaustive_reducts(y)
-        if rx is None or ry is None:
-            return False
-        lhs = tuple(sorted(e.counts for e in rx))
-        rhs = tuple(sorted(e.counts for e in ry))
-        holds = not set(lhs) & set(rhs)
     else:
         return False
     return holds and lhs == cert.lhs and rhs == cert.rhs

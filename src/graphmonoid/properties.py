@@ -18,7 +18,7 @@ from typing import Optional, Union
 from .errors import CapExceeded
 from .graphs import Graph, is_acyclic
 from .elements import MonoidElement, elements_up_to, from_counts
-from .certificates import Certificate, leq_obstruction
+from .certificates import Certificate, distinctness_certificate, leq_obstruction
 from .rewriting import (
     DEFAULT_DEPTH,
     DEFAULT_REDUCT_CAP,
@@ -153,10 +153,6 @@ class _Sweep:
             self._obstructions[key] = refuted
         return "refuted" if refuted else "unknown"
 
-    def eq_status(self, r: int, s: int) -> str:
-        # the model's classes are exact: distinct ids are distinct classes
-        return "proven" if r == s else "refuted"
-
     def multiples(self, reps: list[int], n: int) -> dict[int, Optional[int]]:
         """Class of ``n`` copies of each representative, or None when its
         normal form lies beyond the cap."""
@@ -166,7 +162,7 @@ class _Sweep:
         return isinstance(decide_eq(x, y, _CONFIRM_DEPTH), Equal)
 
     def confirm_distinct(self, x: MonoidElement, y: MonoidElement) -> bool:
-        return isinstance(decide_eq(x, y, _CONFIRM_DEPTH), Distinct)
+        return distinctness_certificate(x, y) is not None
 
     def confirm_le(self, r: int, s: int) -> bool:
         witness = self.model.le_witness(r, s)
@@ -249,15 +245,15 @@ def check_separativity(
             if na is None or nb is None:
                 saw_unknown = beyond_cap = True
                 continue
-            conclusion = sweep.eq_status(ra, rb)
+            # the model's classes are exact, so ra and rb are distinct
+            # classes and each instance tests a + c against b + c
             for rc in reps:
                 sum_a = model.add_classes(ra, rc)
                 sum_b = model.add_classes(rb, rc)
                 if sum_a is None or sum_b is None:
                     saw_unknown = True
                     continue
-                premise_eq = sweep.eq_status(sum_a, sum_b)
-                if premise_eq == "refuted":
+                if sum_a != sum_b:
                     continue
                 le_a = sweep.le_status(rc, na)
                 if le_a == "refuted":
@@ -265,15 +261,9 @@ def check_separativity(
                 le_b = sweep.le_status(rc, nb)
                 if le_b == "refuted":
                     continue
-                if (
-                    premise_eq == "proven"
-                    and le_a == "proven"
-                    and le_b == "proven"
-                ):
-                    if conclusion == "proven":
-                        continue
+                if le_a == "proven" and le_b == "proven":
                     a, b, c = model.rep(ra), model.rep(rb), model.rep(rc)
-                    if conclusion == "refuted" and (
+                    if (
                         sweep.confirm_equal(a + c, b + c)
                         and sweep.confirm_distinct(a, b)
                         and sweep.confirm_le(rc, na)
@@ -286,10 +276,7 @@ def check_separativity(
                             (a, b, c),
                             "premises re-verified by the word problem",
                         )
-                    saw_unknown = True
-                else:
-                    if conclusion != "proven":
-                        saw_unknown = True
+                saw_unknown = True
     if saw_unknown:
         return _unresolved(name, bounds, beyond_cap)
     return PropertyReport(name, "holds-within-bounds", bounds)

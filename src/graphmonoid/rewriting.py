@@ -17,7 +17,9 @@ shared reduct and a replayable trace for each side; ``Distinct`` carries
 a :class:`~graphmonoid.certificates.Certificate`; ``Unknown`` reports
 the exhausted search depth.  A verdict is never guessed: every positive
 answer is a pair of checkable traces and every negative answer is a
-checkable invariant.
+checkable invariant.  "Distinct" is exact on every graph, since the
+certificates separate every inequivalent pair before any search starts;
+``Unknown`` means only that the search for a shared reduct ran out.
 """
 
 from __future__ import annotations
@@ -236,12 +238,6 @@ def _trace_to(
     return RewriteTrace(root, tuple(steps))
 
 
-def _disjoint_certificate(seen_x: dict, seen_y: dict) -> Certificate:
-    lhs = tuple(sorted(e.counts for e in seen_x))
-    rhs = tuple(sorted(e.counts for e in seen_y))
-    return Certificate("disjoint-reducts", None, lhs, rhs)
-
-
 def _bfs_meet(
     x: MonoidElement, y: MonoidElement, depth: int, reduct_cap: int
 ) -> Verdict:
@@ -273,9 +269,9 @@ def _bfs_meet(
         if done_x and done_y:
             if capped_x or capped_y:
                 return Unknown(level + 1)
-            # both reachable sets fully enumerated and disjoint; by
-            # confluence the classes themselves are disjoint
-            return Distinct(_disjoint_certificate(parents_x, parents_y))
+            # both reachable sets fully enumerated and disjoint: the
+            # classes differ, which the certificates should have caught
+            raise RuntimeError("invariant missed a distinct pair")
     return Unknown(depth)
 
 
@@ -287,11 +283,11 @@ def decide_eq(
 ) -> Verdict:
     """Decide whether two elements present the same monoid class.
 
-    Invariant certificates are consulted before any search, so provably
-    distinct pairs return quickly.  On acyclic graphs the answer is
-    always Equal or Distinct; elsewhere a two-sided search up to
-    ``depth`` moves per side looks for a shared reduct and returns
-    Unknown when resources run out first.
+    Invariant certificates are consulted before any search, and they
+    separate every inequivalent pair, so Distinct is exact.  On acyclic
+    graphs the answer is always Equal or Distinct; elsewhere a two-sided
+    search up to ``depth`` moves per side looks for a shared reduct of an
+    equivalent pair and returns Unknown when resources run out first.
     """
     if x.graph != y.graph:
         raise ValueError("elements belong to different graphs")

@@ -15,7 +15,7 @@ def _graph(i):
 # each cache with the arguments it is asked for on a graph
 CACHES = [
     (certificates._closure, lambda g: (g, frozenset({g.vertex_order[0]}))),
-    (certificates._quotient_data, lambda g: (g,)),
+    (certificates._restriction, lambda g: (g, frozenset(g.vertices))),
     (certificates._restriction_quotients, lambda g: (g, frozenset(g.vertices))),
     (ktheory.grothendieck_group, lambda g: (g,)),
 ]

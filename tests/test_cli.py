@@ -66,6 +66,33 @@ def test_eq_json_distinct_certificate(abcd_file, capsys):
     assert payload["certificate"]["invariant"] == "support-closure"
 
 
+def test_eq_distinct_inside_a_proper_closure(tmp_path, capsys):
+    # b and 2*b differ only in K0 of the restriction to {b, c}
+    g = gm.Graph(("a", "b", "c"), (("a", "a"), ("a", "b"), ("b", "b"), ("b", "c")))
+    path = tmp_path / "chain.graph"
+    path.write_text(gm.format_graph_text(g))
+    code, out, _ = run(capsys, "eq", str(path), "b", "2*b")
+    assert code == 1
+    assert out.splitlines() == [
+        "verdict: distinct",
+        "invariant: restriction-grothendieck",
+        "context: {b, c}",
+        "lhs: [1]",
+        "rhs: [2]",
+    ]
+    code, out, _ = run(capsys, "eq", str(path), "--format", "json", "b", "2*b")
+    assert code == 1
+    assert json.loads(out) == {
+        "verdict": "distinct",
+        "certificate": {
+            "invariant": "restriction-grothendieck",
+            "context": ["b", "c"],
+            "lhs": [1],
+            "rhs": [2],
+        },
+    }
+
+
 # ----------------------------------------------------------------------
 # lattice and series
 

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 import graphmonoid as gm
 from graphmonoid import enumeration
-from graphmonoid.certificates import _quotient_data, _quotient_image
 from graphmonoid.knuth_bendix import _complete
 from graphmonoid.elements import count_vectors
 
@@ -112,6 +111,21 @@ def test_model_universe_size():
 # differential checks against the union-find model over count tuples
 
 
+def _quotient_table(g):
+    # K0 of every proper quotient, the empty set first: the fingerprint
+    # family the tuple model bounds its class counts with
+    table = []
+    for h in gm.enumerate_hsat(g):
+        if h.members != frozenset(g.vertices):
+            q = gm.quotient_graph(g, h)
+            table.append((tuple(sorted(h.members)), q, gm.grothendieck_group(q)))
+    return table
+
+
+def _quotient_image(q, pres, x):
+    return pres.image_of_vec(tuple(x.count(v) for v in q.vertex_order))
+
+
 class _TupleModel:
     """The earlier class model over count tuples, kept as the reference:
     a tuple-keyed index and a union-find with union by rank, fed the
@@ -125,6 +139,7 @@ class _TupleModel:
         n = len(order)
         self.graph = g
         self.cap = cap
+        self.quotients = _quotient_table(g)
         self.vectors = list(count_vectors(n, cap))
         self.index = {v: i for i, v in enumerate(self.vectors)}
         self.sizes = [sum(v) for v in self.vectors]
@@ -176,7 +191,7 @@ class _TupleModel:
     def fingerprint(self, r):
         rep = gm.MonoidElement(self.graph, self.best[r][1])
         parts = [tuple(sorted(gm.support_closure(rep)))]
-        for _, q, pres in _quotient_data(self.graph):
+        for _, q, pres in self.quotients:
             parts.append(_quotient_image(q, pres, rep))
         return tuple(parts)
 
@@ -229,7 +244,7 @@ class _TupleModel:
                 key = (self.sizes[i], vec)
                 if r not in best or key < best[r]:
                     best[r] = key
-        entries = [(q, pres) for ctx, q, pres in _quotient_data(g) if h <= set(ctx)]
+        entries = [(q, pres) for ctx, q, pres in self.quotients if h <= set(ctx)]
         profiles = set()
         for r in wanted:
             elem = gm.MonoidElement(g, best[r][1])

@@ -1,5 +1,6 @@
 """One-step rewriting, reduct search, the word problem, refinement."""
 
+import itertools
 import random
 
 import pytest
@@ -7,13 +8,26 @@ from hypothesis import given, strategies as st
 
 import graphmonoid as gm
 from graphmonoid import CapExceeded, Graph, RewriteTrace
+from graphmonoid.knuth_bendix import complete
 
-from conftest import corpus, make_abcd, make_bouquet, make_fork, make_parallel_pair
+from conftest import (
+    corpus,
+    make_abcd,
+    make_bouquet,
+    make_fork,
+    make_parallel_pair,
+    small_graphs,
+)
 
 ABCD = make_abcd()
 O2 = make_bouquet(2)
 # a loop that feeds a sink: cyclic, yet some elements have finite reduct sets
 LOOP_EXIT = Graph(("s", "v"), (("v", "v"), ("v", "s")))
+# a loop feeding a looped vertex with an exit to a sink: b and 2*b agree
+# in K0 of the whole graph, but not in K0 of the restriction to {b, c}
+LOOP_CHAIN = Graph(
+    ("a", "b", "c"), (("a", "a"), ("a", "b"), ("b", "b"), ("b", "c"))
+)
 
 
 def el(g, text):
@@ -166,12 +180,75 @@ def test_decide_eq_group_certificate():
     assert gm.decide_eq(v, 3 * v).verdict == "equal"
 
 
-def test_decide_eq_disjoint_reducts():
+def test_decide_eq_restriction_certificate():
     s = gm.vertex_element(LOOP_EXIT, "s")
     res = gm.decide_eq(s, 2 * s)
     assert res.verdict == "distinct"
-    assert res.certificate.invariant == "disjoint-reducts"
+    assert res.certificate.invariant == "restriction-grothendieck"
+    assert res.certificate.context == ("s",)
     assert gm.check_certificate(res.certificate, s, 2 * s)
+
+
+def test_decide_eq_restriction_certificate_beyond_global_k0():
+    b = gm.vertex_element(LOOP_CHAIN, "b")
+    assert gm.group_image(b) == gm.group_image(2 * b)
+    res = gm.decide_eq(b, 2 * b)
+    assert res == gm.Distinct(
+        gm.Certificate("restriction-grothendieck", ("b", "c"), (1,), (2,))
+    )
+    assert gm.check_certificate(res.certificate, b, 2 * b)
+
+
+def test_check_certificate_rejects_foreign_context_and_swapped_sides():
+    b = gm.vertex_element(LOOP_CHAIN, "b")
+    cert = gm.distinctness_certificate(b, 2 * b)
+    for context in (None, (), ("c",), ("b",), ("a", "b", "c")):
+        forged = gm.Certificate(cert.invariant, context, cert.lhs, cert.rhs)
+        assert not gm.check_certificate(forged, b, 2 * b)
+    swapped = gm.Certificate(cert.invariant, cert.context, cert.rhs, cert.lhs)
+    assert not gm.check_certificate(swapped, b, 2 * b)
+    assert not gm.check_certificate(cert, 2 * b, b)
+    # the shared closure must belong to both sides
+    a = gm.vertex_element(LOOP_CHAIN, "a")
+    assert not gm.check_certificate(cert, b, a)
+
+
+def test_check_certificate_rejects_retired_kinds():
+    # both were accepted once: K0 of the quotient by the empty set is
+    # the global K0, and the two reduct sets of s and 2*s are disjoint
+    v = gm.vertex_element(make_bouquet(3), "v")
+    cert = gm.decide_eq(v, 2 * v).certificate
+    assert cert.invariant == "grothendieck"
+    quotient = gm.Certificate("quotient-grothendieck", (), cert.lhs, cert.rhs)
+    assert not gm.check_certificate(quotient, v, 2 * v)
+    assert not gm.check_certificate(
+        gm.Certificate("grothendieck", (), cert.lhs, cert.rhs), v, 2 * v
+    )
+    s = gm.vertex_element(LOOP_EXIT, "s")
+    reducts = gm.Certificate("disjoint-reducts", None, ((1, 0),), ((2, 0),))
+    assert not gm.check_certificate(reducts, s, 2 * s)
+
+
+def _check_invariant_is_complete(g):
+    # a pair gets a certificate exactly when its completed normal forms
+    # differ, and every certificate replays, on its own sides only
+    reduce = complete(g).reduce
+    for x, y in itertools.combinations(list(gm.elements_up_to(g, 2)), 2):
+        cert = gm.distinctness_certificate(x, y)
+        assert (cert is None) == (reduce(x.counts) == reduce(y.counts))
+        if cert is not None:
+            assert gm.check_certificate(cert, x, y)
+            assert not gm.check_certificate(cert, y, x)
+
+
+def test_invariant_is_complete_on_corpus():
+    for g in corpus():
+        _check_invariant_is_complete(g)
+
+
+@given(small_graphs())
+def test_invariant_is_complete_on_random_graphs(g):
+    _check_invariant_is_complete(g)
 
 
 def test_decide_eq_absorbing_loop():
