@@ -259,14 +259,18 @@ def composition_series(g: Graph, cap: int = DEFAULT_LATTICE_CAP) -> CompositionS
 
     Built greedily from the bottom: each step moves to the smallest cover
     of the current set (ties broken by size then name).  Maximality of
-    each step makes every subquotient cofinal, hence simple.
+    each step makes every subquotient cofinal, hence simple.  In the
+    size-then-name order the first set strictly above the current one
+    is that smallest cover, since a set between them would be smaller
+    and come earlier, so one scan of the ordered sets builds the chain.
     """
     if not g.vertices:
         raise ValueError("empty graph has no composition series")
-    covers = _hsat_covers(g, cap)
-    chain = [HSatSet(g, min(covers, key=_set_key))]
-    while covers[chain[-1].members]:
-        chain.append(HSatSet(g, min(covers[chain[-1].members], key=_set_key)))
+    sets = enumerate_hsat(g, cap)
+    chain = [sets[0]]
+    for h in sets[1:]:
+        if chain[-1].members < h.members:
+            chain.append(h)
     steps = []
     for lower, upper in zip(chain, chain[1:]):
         sub = _step_graph(g, lower, upper)

@@ -261,7 +261,9 @@ def _check_searches(g, depth=4, cap=60):
         # the certificates separate every distinct pair, so the search
         # only ever meets equivalent ones, where the copy never answers
         # distinct
-        if gm.distinctness_certificate(x, y) is not None:
+        cert = gm.distinctness_certificate(x, y)
+        if cert is not None:
+            assert repr(gm.decide_eq(x, y, depth, cap)) == repr(gm.Distinct(cert))
             continue
         want = ref_bfs_meet(x, y, depth, cap)
         assert want.verdict != "distinct"
