@@ -1,4 +1,4 @@
-"""Class models, class counts and order-ideal membership over normal forms.
+"""Class models and class counts over normal forms; order-ideal membership.
 
 The completed rewriting system of :mod:`graphmonoid.knuth_bendix` gives
 every class one normal form, its least member by size and then count
@@ -21,26 +21,21 @@ hereditary saturated set ``H`` adds the rules ``e_p -> 0`` for ``p`` in
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator, Optional
 
 from .knuth_bendix import complete
 from .errors import CapExceeded
-from .graphs import Graph, is_hereditary, _saturate
+from .graphs import Graph, hereditary_closure, is_hereditary, _saturate
 from .elements import MonoidElement, vertex_element, zero
 from .certificates import Certificate, leq_obstruction, support_closure
 
 DEFAULT_CLASS_CAP = 24
-DEFAULT_K_BOUND = 3
 # most classes one model may name: every model of at most 6 vertices at
 # the default cap fits (C(30, 6) = 593 775 classes on the edgeless graph,
 # about 6 s and 190 MB to build), while the models of the benchmark's
 # `classes` workload name at most a few hundred
 _CLASS_LIMIT = 600_000
-# ideal_membership retries at a larger cap only while the count vectors
-# up to that size, a bound on the model's classes, stay below this
-_ESCALATION_LIMIT = 300_000
 
 
 class ClassModel:
@@ -340,63 +335,41 @@ def quotient_bounded_class_count(
 # order-ideal membership
 
 
-def ideal_membership(
-    x: MonoidElement,
-    y: MonoidElement,
-    k_bound: int = DEFAULT_K_BOUND,
-    cap: int = DEFAULT_CLASS_CAP,
-):
+def ideal_membership(x: MonoidElement, y: MonoidElement):
     """Three-valued test of ``x``'s class against the order-ideal
     generated by ``y``'s class.
 
     Returns ``("member", (k, z))`` with a proven witness ``x + z``
     equivalent to ``k`` copies of ``y``, ``("not-member", certificate)``
-    or ``("unknown", reason)``.  ``not-member`` is only answered with a
-    certificate that refutes every multiple of ``y``: ``zero`` (``y`` is
-    zero) or ``support-bound`` (``x``'s support lies outside the closure
-    of ``y``'s, which no multiple enlarges).  The witness multiple is
-    searched up to ``k_bound`` and the addition ``z`` among those that
-    keep ``x + z`` within the cap; an empty search retries at the cap
-    plus 8 and plus 16, while the count vectors up to that size number at
-    most ``_ESCALATION_LIMIT``.  ``reason`` names ``k_bound`` when an
-    obstruction refutes the multiples up to it (a larger multiple may
-    still work), names the cap when one stopped the search, and is None
-    when the search comes back empty.
+    or ``("unknown", reason)``.  By the lattice isomorphism the ideal is
+    the classes supported in ``y``'s support closure, so the support
+    decides, and ``not-member`` carries a ``zero`` or ``support-bound``
+    certificate.  A walk over that closure gives a ``K`` with ``x`` below
+    ``K*y``, and ``k`` is the least multiple up to ``K`` that :func:`leq`
+    proves: its search is bounded, so a smaller one may work unproven.
+    Otherwise ``reason`` names the search depth and ``K``.
     """
+    from .properties import DEFAULT_DEPTH, leq
+
     if x.graph != y.graph:
         raise ValueError("elements belong to different graphs")
-    g = x.graph
     if x.is_zero:
-        return ("member", (0, zero(g)))
+        return ("member", (0, zero(x.graph)))
     if y.is_zero:
         return ("not-member", Certificate("zero", None, False, True))
-    # membership is monotone in the multiple, so one obstruction at the
-    # largest multiple refutes every multiple up to it; only a support
-    # bound also refutes the larger ones
-    blocked = leq_obstruction(x, y * k_bound)
-    if blocked is not None:
-        if blocked.invariant == "support-bound":
-            return ("not-member", blocked)
-        return (
-            "unknown",
-            f"{blocked.invariant} refutes every multiple up to k_bound={k_bound}",
-        )
-    n = len(g.vertices)
-    try:
-        for attempt in (cap, cap + 8, cap + 16):
-            if attempt > cap and math.comb(n + attempt, n) > _ESCALATION_LIMIT:
-                break
-            model = class_model(g, attempt)
-            rx = model.reduced_class(x)
-            if rx is None:
-                continue
-            for k in range(1, k_bound + 1):
-                rt = model.reduced_class(y * k)
-                if rt is None:
-                    break
-                witness = model.le_witness(rx, rt)
-                if witness is not None:
-                    return ("member", (k, model.rep(witness)))
-    except CapExceeded as exc:
-        return ("unknown", str(exc))
-    return ("unknown", None)
+    g, closure = y.graph, support_closure(y)
+    if not x.support <= closure:
+        return ("not-member", leq_obstruction(x, y))
+    # v is below weight[v] copies of y: one where a path from y reaches,
+    # and for a vertex saturation adds, the sum over its edge targets
+    weight = dict.fromkeys(hereditary_closure(g, y.support), 1)
+    while len(weight) < len(closure):
+        for v in closure - weight.keys():
+            if g.targets[v] <= weight.keys():
+                weight[v] = sum(weight[g.edge_target(e)] for e in g.out_edges(v))
+    bound = sum(x.count(v) * weight[v] for v in x.support)
+    for k in range(1, bound + 1):
+        out = leq(x, y * k)
+        if out.verdict == "true":
+            return ("member", (k, out.witness))
+    return ("unknown", f"no multiple up to K={bound} at search depth {DEFAULT_DEPTH}")

@@ -1,9 +1,11 @@
 """Three-valued order and property checkers with explicit bounds.
 
 The algebraic order puts ``x`` below ``y`` when something can be added
-to ``x`` to reach ``y``'s class.  ``leq`` answers with a witness and its
-equality proof, a refuting certificate, or an honest unknown.  The bulk
-checkers sweep the bounded class model for violations of separativity,
+to ``x`` to reach ``y``'s class, which holds exactly when a reduct of
+``x`` lies pointwise below one of ``y``.  ``leq`` answers with a witness
+and its equality proof, a refuting certificate, or an honest unknown,
+and bounds only the search depth, never the witness.  The bulk checkers
+sweep the bounded class model for violations of separativity,
 unperforation, primality and refinement; a counterexample is only ever
 reported after it has been re-verified against the word problem, and a
 sweep that cannot resolve every instance says "unknown" rather than
@@ -17,7 +19,7 @@ from typing import Optional, Union
 
 from .errors import CapExceeded
 from .graphs import Graph, is_acyclic
-from .elements import MonoidElement, elements_up_to, from_counts
+from .elements import MonoidElement
 from .certificates import Certificate, distinctness_certificate, leq_obstruction
 from .rewriting import (
     DEFAULT_DEPTH,
@@ -26,8 +28,8 @@ from .rewriting import (
     DistinctSums,
     Equal,
     Unknown,
+    _dominance_search,
     decide_eq,
-    normal_form,
     refine,
 )
 from .enumeration import DEFAULT_CLASS_CAP, ClassModel, class_model
@@ -72,42 +74,24 @@ LeqVerdict = Union[LeqTrue, LeqFalse, LeqUnknown]
 def leq(
     x: MonoidElement,
     y: MonoidElement,
-    size_bound: int = DEFAULT_SIZE_BOUND,
     depth: int = DEFAULT_DEPTH,
     reduct_cap: int = DEFAULT_REDUCT_CAP,
 ) -> LeqVerdict:
     """Decide ``x`` below ``y`` in the algebraic order, three-valued.
 
-    Obstruction certificates are consulted first.  On acyclic graphs the
-    remaining answer is exact: the difference of normal forms is itself
-    the witness.  Otherwise candidate additions are enumerated up to
-    ``size_bound`` and each is put to the word problem.
+    Obstruction certificates are consulted first.  Then ``x`` is below
+    ``y`` exactly when a reduct ``x'`` of ``x`` lies pointwise below one,
+    ``g``, of ``y`` (``split`` carries ``x + z`` to a reduct of ``y``),
+    and the witness is ``g - x'``: the normal forms on acyclic graphs, or
+    a search of ``depth`` moves and ``reduct_cap`` states per side.
     """
-    if x.graph != y.graph:
-        raise ValueError("elements belong to different graphs")
-    g = x.graph
     obstruction = leq_obstruction(x, y)
     if obstruction is not None:
         return LeqFalse(obstruction)
-    if is_acyclic(g):
-        nx, ny = normal_form(x), normal_form(y)
-        diff = from_counts(
-            g,
-            {
-                v: ny.count(v) - nx.count(v)
-                for v in g.vertices
-                if ny.count(v) > nx.count(v)
-            },
-        )
-        outcome = decide_eq(x + diff, y, depth, reduct_cap)
-        if not isinstance(outcome, Equal):
-            raise RuntimeError("normal form witness failed to verify")
-        return LeqTrue(diff, outcome)
-    for z in elements_up_to(g, size_bound):
-        outcome = decide_eq(x + z, y, depth, reduct_cap)
-        if isinstance(outcome, Equal):
-            return LeqTrue(z, outcome)
-    return LeqUnknown(depth)
+    found = _dominance_search(x, y, depth, reduct_cap)
+    if isinstance(found, Unknown):
+        return LeqUnknown(found.depth)
+    return LeqTrue(*found)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""One-step rewriting, the word problem, and refinement of sums.
+"""One-step rewriting, the word problem, divisibility and refinement.
 
 The monoid presented by a graph identifies each non-sink vertex with the
 sum of its edge targets.  Working in the free monoid, a single move
 replaces one occurrence of a non-sink ``v`` by that sum; every move is
 read from the graph's move table, ``Graph.moves``, and one level-by-level
 expansion serves every search here (``reduct_set``,
-``exhaustive_reducts`` and both sides of ``decide_eq``).  Two elements
+``exhaustive_reducts``, both sides of ``decide_eq`` and of the dominance
+search behind ``leq``).  Two elements
 represent the same monoid class exactly when some chain of moves links
 them.  Moves never shrink an element and distinct moves from a common
 element rejoin in one further move each, so two equivalent elements
@@ -24,6 +25,8 @@ certificates separate every inequivalent pair before any search starts;
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Optional, Union
 
 from .errors import CapExceeded
@@ -366,6 +369,45 @@ def _difference(p: MonoidElement, q: MonoidElement) -> MonoidElement:
     return MonoidElement(
         p.graph, tuple(a - b for a, b in zip(p.counts, q.counts))
     )
+
+
+def _dominance_search(
+    x: MonoidElement, y: MonoidElement, depth: int, reduct_cap: int
+) -> Union[tuple[MonoidElement, Equal], Unknown]:
+    """The witness ``g - x'`` of ``x`` below ``y``, and its proof, from the
+    first reduct ``x'`` of ``x`` found pointwise below a reduct ``g`` of ``y``."""
+    parents_x: dict = {x: None}
+    parents_y: dict = {y: None}
+
+    def proof(lhs: RewriteTrace, rhs: RewriteTrace):
+        z = _difference(rhs.end, lhs.end)
+        shifted = RewriteTrace(x + z, tuple((v, s + z) for v, s in lhs.steps))
+        return z, Equal(rhs.end, shifted, rhs)
+
+    def traces(s: MonoidElement, t: MonoidElement):
+        return proof(_trace_to(parents_x, x, s), _trace_to(parents_y, y, t))
+
+    if is_acyclic(x.graph):
+        # the caller compared the sink weights of the normal forms
+        return proof(_normalizing_trace(x), _normalizing_trace(y))
+    if all(map(operator.le, x.counts, y.counts)):
+        return traces(x, y)
+    frontier_x, frontier_y = [x], [y]
+    capped_x = capped_y = False
+    for level in range(depth):
+        if not capped_x:
+            frontier_x, capped_x, _ = _expand(frontier_x, parents_x, reduct_cap)
+            for s, t in itertools.product(frontier_x, parents_y):
+                if all(map(operator.le, s.counts, t.counts)):
+                    return traces(s, t)
+        if not capped_y:
+            frontier_y, capped_y, _ = _expand(frontier_y, parents_y, reduct_cap)
+            for t, s in itertools.product(frontier_y, parents_x):
+                if all(map(operator.le, s.counts, t.counts)):
+                    return traces(s, t)
+        if (capped_x or not frontier_x) and (capped_y or not frontier_y):
+            return Unknown(level + 1)
+    return Unknown(depth)
 
 
 def refine(

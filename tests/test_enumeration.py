@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import graphmonoid as gm
 from graphmonoid import enumeration
-from graphmonoid.knuth_bendix import _complete
+from graphmonoid.knuth_bendix import _complete, complete
 from graphmonoid.elements import count_vectors
 
 from conftest import (
@@ -461,26 +461,19 @@ def test_ideal_membership_multiple_needed():
     v = gm.vertex_element(g, "v")
     w = gm.vertex_element(g, "w")
     # v is two w's, so three w's need two copies of v: the obstruction
-    # at k_bound=1 refutes one copy, not the ideal
-    verdict, reason = gm.ideal_membership(3 * w, v, k_bound=1)
-    assert verdict == "unknown"
-    assert "k_bound=1" in reason
+    # refutes one copy, not the ideal
+    assert gm.ideal_membership(3 * w, v) == ("member", (2, w))
     cert = gm.leq_obstruction(3 * w, v)
     assert cert.invariant == "restriction-sink-dominance"
     assert gm.check_certificate(cert, 3 * w, v)
-    verdict, data = gm.ideal_membership(3 * w, v, k_bound=2)
-    assert verdict == "member"
 
 
 def test_ideal_membership_sink_multiple_beyond_k_bound():
-    # 5*s lies in the ideal of s (five copies), past the default k_bound
-    # of 3; an obstruction at 3*s must not be reported as a refutation
+    # 5*s lies in the ideal of s (five copies); the obstructions at 1-4
+    # copies of s must not be reported as a refutation
     g = gm.Graph(("s",), ())
     s = gm.vertex_element(g, "s")
-    verdict, reason = gm.ideal_membership(5 * s, s)
-    assert verdict == "unknown"
-    assert "k_bound=3" in reason
-    assert gm.ideal_membership(5 * s, s, k_bound=5) == ("member", (5, gm.zero(g)))
+    assert gm.ideal_membership(5 * s, s) == ("member", (5, gm.zero(g)))
 
 
 def test_ideal_membership_zero_cases():
@@ -498,8 +491,8 @@ def test_ideal_membership_mismatch():
 
 def test_ideal_membership_escalation_stays_bounded(monkeypatch):
     # a looped vertex with an exit to a sink: 5*w0 and w0 keep their
-    # loop counts apart, which no invariant sees, so no model resolves the
-    # pair; on 5 vertices escalating to cap 32 would build C(37, 5) vectors
+    # loop counts apart, so only five copies of w0 lie above 5*w0; the
+    # answer needs no class model
     names = tuple(f"w{i}" for i in range(5))
     g = gm.Graph(names, (("w0", "w0"), ("w0", "w4")))
     built = []
@@ -511,9 +504,9 @@ def test_ideal_membership_escalation_stays_bounded(monkeypatch):
     )
     w0 = gm.vertex_element(g, "w0")
     start = time.perf_counter()
-    assert gm.ideal_membership(5 * w0, w0) == ("unknown", None)
+    assert gm.ideal_membership(5 * w0, w0) == ("member", (5, gm.zero(g)))
     assert time.perf_counter() - start < 1.0
-    assert built == [24]
+    assert built == []
 
 
 def test_ideal_membership_reduces_elements_beyond_the_cap():
@@ -529,11 +522,51 @@ def test_ideal_membership_reduces_elements_beyond_the_cap():
 
 
 def test_ideal_membership_escalates_on_small_graphs():
-    # on the edgeless pair 25*a has no member within cap 24; cap 32 holds it
+    # on the edgeless pair 25*a has no member within the class cap 24,
+    # and no cap limits the multiple: two copies of 13*a lie above it
     g = gm.Graph(("a", "b"), ())
     a = gm.vertex_element(g, "a")
-    verdict, (k, z) = gm.ideal_membership(25 * a, 13 * a, k_bound=2)
+    verdict, (k, z) = gm.ideal_membership(25 * a, 13 * a)
     assert verdict == "member" and k == 2 and z == (13 * 2 - 25) * a
+
+
+def test_ideal_membership_doubling_chain():
+    # v_i has two edges to v_(i-1): v10 is 1024 copies of v0, and only
+    # saturation puts v10 in the closure of v0
+    names = tuple(f"v{i}" for i in range(11))
+    g = gm.Graph(
+        names, tuple((names[i], names[i - 1]) for i in range(1, 11) for _ in "ab")
+    )
+    v0, v10 = gm.vertex_element(g, "v0"), gm.vertex_element(g, "v10")
+    start = time.perf_counter()
+    assert gm.ideal_membership(v10, v0) == ("member", (1024, gm.zero(g)))
+    assert time.perf_counter() - start < 2.0
+
+
+def _check_ideal_membership(g):
+    reduce = complete(g).reduce
+    elements = list(gm.elements_up_to(g, 2))
+    for x in elements:
+        for y in elements:
+            verdict, data = gm.ideal_membership(x, y)
+            inside = x.support <= gm.support_closure(y)
+            assert (verdict == "member") == inside
+            if verdict == "member":
+                k, z = data
+                assert reduce((x + z).counts) == reduce((y * k).counts)
+            else:
+                assert verdict == "not-member"
+                assert gm.check_certificate(data, x, y)
+
+
+def test_ideal_membership_is_the_support_closure_on_corpus():
+    for g in corpus():
+        _check_ideal_membership(g)
+
+
+@given(small_graphs())
+def test_ideal_membership_is_the_support_closure_on_random_graphs(g):
+    _check_ideal_membership(g)
 
 
 def test_eq3_is_unknown_past_the_class_limit(monkeypatch):

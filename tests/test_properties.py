@@ -6,7 +6,14 @@ from hypothesis import given, strategies as st
 import graphmonoid as gm
 from graphmonoid import Graph
 
-from conftest import corpus, make_abcd, make_bouquet, make_fork, make_ladder
+from conftest import (
+    corpus,
+    make_abcd,
+    make_bouquet,
+    make_fork,
+    make_ladder,
+    small_graphs,
+)
 
 ABCD = make_abcd()
 
@@ -42,7 +49,7 @@ def test_leq_false_support_bound():
 
 
 def test_leq_unknown_when_bounds_exhausted():
-    res = gm.leq(el("a"), el("b"), size_bound=0)
+    res = gm.leq(el("a"), el("b"), depth=0)
     assert res.verdict == "unknown"
     assert gm.leq(el("a"), el("b")).verdict == "true"
 
@@ -68,11 +75,87 @@ def test_leq_is_sound_on_witnesses(graph_idx, i, j):
     order = g.vertex_order
     x = gm.vertex_element(g, order[i % len(order)])
     y = gm.vertex_element(g, order[j % len(order)])
-    res = gm.leq(x, y, size_bound=3)
+    res = gm.leq(x, y)
     if res.verdict == "true":
         assert gm.decide_eq(x + res.witness, y).verdict == "equal"
     elif res.verdict == "false":
         assert gm.check_certificate(res.certificate, x, y)
+
+
+def test_leq_finds_witnesses_beyond_any_size_bound():
+    # the witness has size 6, past the size bound 4 of a candidate scan
+    g = Graph(
+        ("v00", "v01", "v02", "v03"),
+        (
+            ("v00", "v01"),
+            ("v01", "v00"),
+            ("v01", "v00"),
+            ("v02", "v02"),
+            ("v02", "v02"),
+            ("v00", "v02"),
+            ("v01", "v02"),
+            ("v02", "v03"),
+        ),
+    )
+    x = gm.parse_element(g, "2*v01 + v03")
+    y = gm.parse_element(g, "v00 + v02")
+    res = gm.leq(x, y)
+    assert res.verdict == "true"
+    assert res.witness == gm.parse_element(g, "6*v02")
+    _check_evidence_replays(res, x, y)
+
+
+def _check_evidence_replays(res, x, y):
+    ev = res.evidence
+    assert ev.lhs_trace.start == x + res.witness
+    assert ev.rhs_trace.start == y
+    assert ev.lhs_trace.end == ev.rhs_trace.end == ev.reduct
+    assert gm.validate_trace(ev.lhs_trace)
+    assert gm.validate_trace(ev.rhs_trace)
+
+
+def _candidate_leq(x, y, size_bound=4):
+    # the reference: every candidate addition up to ``size_bound`` put to
+    # the word problem, with the acyclic normal-form shortcut
+    g = x.graph
+    if gm.leq_obstruction(x, y) is not None:
+        return "false"
+    if gm.is_acyclic(g):
+        nx, ny = gm.normal_form(x), gm.normal_form(y)
+        diff = gm.from_counts(
+            g, {v: max(ny.count(v) - nx.count(v), 0) for v in g.vertices}
+        )
+        assert gm.decide_eq(x + diff, y).verdict == "equal"
+        return "true"
+    for z in gm.elements_up_to(g, size_bound):
+        if gm.decide_eq(x + z, y).verdict == "equal":
+            return "true"
+    return "unknown"
+
+
+def _check_leq_against_candidates(g):
+    elements = list(gm.elements_up_to(g, 2))
+    for x in elements:
+        for y in elements:
+            res = gm.leq(x, y)
+            reference = _candidate_leq(x, y)
+            if reference != "unknown":
+                assert res.verdict == reference
+            if res.verdict == "true":
+                _check_evidence_replays(res, x, y)
+            elif res.verdict == "false":
+                assert reference == "false"
+                assert gm.check_certificate(res.certificate, x, y)
+
+
+def test_leq_matches_candidate_scan_on_corpus():
+    for g in corpus():
+        _check_leq_against_candidates(g)
+
+
+@given(small_graphs())
+def test_leq_matches_candidate_scan_on_random_graphs(g):
+    _check_leq_against_candidates(g)
 
 
 # ----------------------------------------------------------------------
