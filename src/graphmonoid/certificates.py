@@ -20,10 +20,13 @@ completion of the whole graph is consulted first, and the restriction's
 only when H is a nonempty proper subset; a pair no certificate separates
 is therefore equivalent.
 
-The algebraic order has certificates of its own.  On acyclic graphs
-(and acyclic quotients) the sink weights of the normal form decide it
-exactly, so a sink where the left side outweighs the right refutes
-divisibility.
+The algebraic order has certificates of its own: a support outside the
+closure H of the right side's support, or a *state* of the restriction
+E_H that weighs the left side more.  A state is a graph trace (Pask and
+Rennie, J. Funct. Anal. 233 (2006)): f from H to the naturals with f(v)
+the sum of f over v's edges at each non-sink v, so moves keep it.  The
+states tried are one per terminal component T of E_H, a sink or a cycle
+no other cycle reaches: 1 on T, elsewhere the paths that first enter T.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .errors import CapExceeded
-from .graphs import Graph, hsat_closure, is_acyclic, sink_distribution, sinks
+from .graphs import Graph, hsat_closure
 from .elements import MonoidElement
 from .ktheory import grothendieck_group
-from .lattice import HSatSet, enumerate_hsat, quotient_graph, restriction_graph
+from .lattice import HSatSet, restriction_graph
 from .records import record
 
 
@@ -45,9 +47,9 @@ class Certificate:
 
     ``context`` names the vertices an invariant is computed on: the
     shared support closure for ``restriction-grothendieck`` and the
-    surviving vertices of an acyclic quotient for
-    ``restriction-sink-dominance``.  It is None for invariants of the
-    graph itself.
+    closure H of the right side's support for ``state``, whose ``lhs``
+    is ``(f, f(x))`` with f a tuple over sorted H, and ``rhs`` is f(y).
+    It is None for invariants of the graph itself.
     """
 
     invariant: str
@@ -82,28 +84,31 @@ def _image(q: Graph, x: MonoidElement) -> tuple[int, ...]:
     return grothendieck_group(q).image_of_vec(vec)
 
 
-def _sink_vector(q: Graph, x: MonoidElement) -> tuple[int, ...]:
-    dist = sink_distribution(q, {v: x.count(v) for v in q.vertices})
-    return tuple(dist.get(s, 0) for s in sorted(sinks(q)))
-
-
 @lru_cache(maxsize=128)
-def _restriction_quotients(
-    g: Graph, members: frozenset
-) -> tuple[tuple[tuple[str, ...], Graph], ...]:
-    # acyclic quotients of the restriction to a hereditary saturated set,
-    # keyed by their surviving vertices
+def _states(g: Graph, members: frozenset) -> tuple[tuple[int, ...], ...]:
+    # the states of the restriction to a hereditary saturated set, one
+    # per terminal component, over its canonical order
     inner = _restriction(g, members)
-    try:
-        hsats = enumerate_hsat(inner)
-    except CapExceeded:
-        hsats = (HSatSet(inner, frozenset()),)
-    entries = []
-    for h in hsats:
-        q = quotient_graph(inner, h)
-        if q.vertices and is_acyclic(q):
-            entries.append((tuple(sorted(q.vertices)), q))
-    return tuple(entries)
+    comps = inner.components
+    states = []
+    for t, terminal in enumerate(comps):
+        if terminal.kind not in ("sink", "cycle"):
+            continue
+        f = {v: int(v in terminal.members) for v in inner.vertices}
+        # only earlier components reach T, in reverse topological order
+        for c in reversed(comps[:t]):
+            flow = {v: sum(f[w] for w in inner.ranges_from(v)) for v in c.members}
+            if c.kind == "acyclic":
+                f.update(flow)
+            elif any(flow.values()):
+                break  # another cycle reaches T
+        else:
+            states.append(tuple(f[v] for v in inner.vertex_order))
+    return tuple(states)
+
+
+def _value(f: tuple[int, ...], order: tuple[str, ...], x: MonoidElement) -> int:
+    return sum(a * x.count(v) for a, v in zip(f, order))
 
 
 def distinctness_certificate(
@@ -135,27 +140,21 @@ def distinctness_certificate(
 def leq_obstruction(x: MonoidElement, y: MonoidElement) -> Optional[Certificate]:
     """An invariant refuting ``x`` below ``y`` in the algebraic order.
 
-    Divisibility confines any candidate addition to the closure of the
-    target's support, so the question restricts to that part of the
-    graph; on each of its acyclic quotients divisibility means pointwise
-    domination of sink weights, and a sink where the left side outweighs
-    the right is a refutation.
+    Any addition stays inside the closure H of the target's support, so
+    a support outside H is refuted by ``support-bound``.  Otherwise the
+    first state of the restriction to H that weighs ``x`` above ``y``
+    refutes, since every state is additive and kept by moves.
     """
     if x.graph != y.graph:
         raise ValueError("elements belong to different graphs")
     cy = support_closure(y)
+    context = tuple(sorted(cy))
     if not x.support <= cy:
-        return Certificate(
-            "support-bound",
-            None,
-            tuple(sorted(x.support)),
-            tuple(sorted(cy)),
-        )
-    for kept, q in _restriction_quotients(x.graph, cy):
-        vx = _sink_vector(q, x)
-        vy = _sink_vector(q, y)
-        if any(a > b for a, b in zip(vx, vy)):
-            return Certificate("restriction-sink-dominance", kept, vx, vy)
+        return Certificate("support-bound", None, tuple(sorted(x.support)), context)
+    for f in _states(x.graph, cy):
+        fx, fy = _value(f, context, x), _value(f, context, y)
+        if fx > fy:
+            return Certificate("state", context, (f, fx), fy)
     return None
 
 
@@ -194,22 +193,23 @@ def check_certificate(
         lhs = tuple(sorted(x.support))
         rhs = tuple(sorted(support_closure(y)))
         holds = not set(lhs) <= set(rhs)
-    elif kind == "restriction-sink-dominance":
-        if cert.context is None:
+    elif kind == "state":
+        h = support_closure(y)
+        q = _restriction(g, h)
+        f = cert.lhs[0] if isinstance(cert.lhs, tuple) and cert.lhs else None
+        # a state: nonnegative integers over sorted H, kept by every move
+        if not (
+            cert.context == q.vertex_order
+            and x.support <= h
+            and isinstance(f, tuple)
+            and len(f) == len(h)
+            and all(isinstance(a, int) and a >= 0 for a in f)
+            and not any(sum(d * f[i] for i, d in m) for _, m in q.moves.values())
+        ):
             return False
-        cy = support_closure(y)
-        if not x.support <= cy:
-            return False
-        q = None
-        for kept, candidate in _restriction_quotients(g, cy):
-            if kept == cert.context:
-                q = candidate
-                break
-        if q is None:
-            return False
-        lhs = _sink_vector(q, x)
-        rhs = _sink_vector(q, y)
-        holds = any(a > b for a, b in zip(lhs, rhs))
+        lhs = (f, _value(f, q.vertex_order, x))
+        rhs = _value(f, q.vertex_order, y)
+        holds = lhs[1] > rhs
     else:
         return False
     return holds and lhs == cert.lhs and rhs == cert.rhs

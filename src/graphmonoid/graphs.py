@@ -14,12 +14,12 @@ following edges out of its members, and *saturated* when it swallows every
 vertex all of whose outgoing edges land inside the subset.  ``tree`` gives
 the least hereditary set containing a vertex, ``saturate`` the least
 saturated superset of a hereditary set, and ``is_cofinal`` asks whether
-every such tree saturates to the whole vertex set.
+every such tree saturates to the whole vertex set.  ``Graph.components``
+lists the strongly connected components, classified by their cycles.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -42,6 +42,20 @@ def _check_vertex_id(name: str) -> None:
         raise ValueError(f"invalid vertex identifier {name!r}")
     if any(ch.isspace() or ch in _ID_FORBIDDEN for ch in name):
         raise ValueError(f"invalid vertex identifier {name!r}")
+
+
+@record
+class Component:
+    """A strongly connected component, its members in canonical order.
+
+    ``kind`` is ``"sink"``, ``"acyclic"`` (one vertex on no cycle that
+    emits edges), ``"cycle"`` (each member emits exactly one edge inside
+    it, so the members form one loop) or ``"cyclic"``.
+    """
+
+    members: tuple[str, ...]
+    kind: str
+    has_exit: bool
 
 
 class Graph:
@@ -169,6 +183,50 @@ class Graph:
         for src, dst in self.edges:
             table[dst].add(src)
         return {v: frozenset(s) for v, s in table.items()}
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        """The strongly connected components in topological order, found
+        by Tarjan's search with an explicit stack, so a long chain needs no
+        deep recursion."""
+        # a virtual root "", which no vertex can be named, emits an edge to
+        # every vertex, so one search visits them all in canonical order
+        succ: dict[str, list[str]] = {"": list(self.vertex_order)}
+        succ.update((v, []) for v in self.vertices)
+        for src, dst in self.edges:
+            succ[src].append(dst)
+        index, low, stack, groups = {"": 0}, {"": 0}, [""], []
+        work = [("", iter(succ[""]), 0)]
+        while work:
+            v, todo, cut = work[-1]
+            for w in todo:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    work.append((w, iter(succ[w]), len(stack)))
+                    stack.append(w)
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    groups.append(stack[cut:])
+                    del stack[cut:]
+                    # a finished vertex lowers no other
+                    index.update(dict.fromkeys(groups[-1], len(succ)))
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+        groups.pop()  # the virtual root's, finished last
+        out = []
+        for group in reversed(groups):  # Tarjan ends a component after those it reaches
+            targets = [w for v in group for w in succ[v]]
+            inner = sum(map(set(group).__contains__, targets))
+            exit_ = inner < len(targets)
+            # on a cycle each member has an inner edge; one each is one loop
+            shape = (inner > 0) + (inner > len(group))
+            kind = ("acyclic" if exit_ else "sink", "cycle", "cyclic")[shape]
+            out.append(Component(tuple(sorted(group)), kind, exit_))
+        return tuple(out)
 
     @cached_property
     def adjacency_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -343,72 +401,13 @@ def is_cofinal(g: Graph) -> bool:
     return all(_saturate(g, tree(g, v)) == everything for v in g.vertices)
 
 
-def simple_loops(g: Graph) -> list[Path]:
-    """All loops whose edge sources are pairwise distinct.
-
-    Each loop is reported once, rotated to start at its least vertex, and
-    the list is sorted by (visited vertices, edge indices).
-    """
-    order = g.vertex_index
-    loops: list[Path] = []
-
-    def extend(start: str, current: str, path: list[int], seen: set[str]) -> None:
-        for i in g.out_edges(current):
-            t = g.edge_target(i)
-            if t == start:
-                loops.append(Path(g, tuple(path + [i])))
-            elif t not in seen and order[t] > order[start]:
-                extend(start, t, path + [i], seen | {t})
-
-    for start in g.vertex_order:
-        extend(start, start, [], {start})
-    loops.sort(key=lambda p: (p.visited, p.edge_indices))
-    return loops
-
-
-def has_exit(g: Graph, loop: Path) -> bool:
-    """True when some vertex of the loop emits an edge not on the loop."""
-    if loop.graph != g:
-        raise ValueError("loop belongs to a different graph")
-    if not loop.is_loop():
-        raise ValueError("path is not a loop")
-    on_loop = set(loop.edge_indices)
-    return any(
-        i not in on_loop for v in set(loop.visited) for i in g.out_edges(v)
-    )
-
-
 # ----------------------------------------------------------------------
 # acyclic structure
 
 
-def topological_order(g: Graph) -> tuple[str, ...]:
-    """Vertices ordered source-to-sink; raises ValueError on a cycle."""
-    indeg = {v: 0 for v in g.vertices}
-    for _, dst in g.edges:
-        indeg[dst] += 1
-    ready = [v for v in g.vertices if indeg[v] == 0]
-    heapq.heapify(ready)
-    out: list[str] = []
-    while ready:
-        v = heapq.heappop(ready)
-        out.append(v)
-        for i in g.out_edges(v):
-            t = g.edge_target(i)
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                heapq.heappush(ready, t)
-    if len(out) != len(g.vertices):
-        raise ValueError("graph has a cycle")
-    return tuple(out)
-
-
 def is_acyclic(g: Graph) -> bool:
-    try:
-        topological_order(g)
-    except ValueError:
-        return False
-    return True
+    """True when no component of the graph carries a cycle."""
+    return all(c.kind in ("sink", "acyclic") for c in g.components)
 
 
 def sink_distribution(g: Graph, weights: Mapping[str, int]) -> dict[str, int]:
@@ -417,14 +416,15 @@ def sink_distribution(g: Graph, weights: Mapping[str, int]) -> dict[str, int]:
     Only defined on acyclic graphs.  The result maps each sink with a
     nonzero total to that total; weights must be nonnegative.
     """
-    order = topological_order(g)
+    if not is_acyclic(g):
+        raise ValueError("graph has a cycle")
     load = {v: 0 for v in g.vertices}
     for v, k in weights.items():
         g.require_vertex(v)
         if k < 0:
             raise ValueError("weights must be nonnegative")
         load[v] += int(k)
-    for v in order:
+    for v in (c.members[0] for c in g.components):
         if not g.is_sink(v) and load[v]:
             k = load[v]
             load[v] = 0

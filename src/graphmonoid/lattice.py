@@ -21,12 +21,9 @@ from .graphs import (
     Path,
     VertexSet,
     _saturate,
-    has_exit,
     is_acyclic,
     is_cofinal,
     is_hereditary,
-    simple_loops,
-    sinks,
     tree,
 )
 from .elements import MonoidElement
@@ -201,8 +198,8 @@ class SimpleClass:
     """Classification of a simple quotient by its loop structure.
 
     ``kind`` is ``"SinkType"`` (no loops; witness is the unique sink),
-    ``"CycleNoExitType"`` (a loop with no exit; witness is that loop) or
-    ``"LoopsWithExitType"`` (every loop has an exit; no witness).
+    ``"CycleNoExitType"`` (witness: the loop with no exit, from its least
+    vertex) or ``"LoopsWithExitType"`` (every loop has an exit; none).
     """
 
     kind: str
@@ -212,22 +209,24 @@ class SimpleClass:
 def classify_simple(g: Graph) -> SimpleClass:
     """Classify the monoid of a cofinal graph.
 
-    Raises ValueError when the graph is empty or not cofinal, since the
-    trichotomy only applies to simple monoids.
+    A loop with no exit is a ``cycle`` component with no exit; the loops
+    of other components all have exits.  Raises ValueError when the
+    graph is empty or not cofinal, since the trichotomy only applies to
+    simple monoids.
     """
     if not g.vertices:
         raise ValueError("empty graph has no classification")
     if not is_cofinal(g):
         raise ValueError("graph is not cofinal")
-    loops = simple_loops(g)
-    if not loops:
-        only_sinks = sorted(sinks(g))
-        if len(only_sinks) != 1:
-            raise ValueError("cofinal acyclic graph must have a unique sink")
-        return SimpleClass("SinkType", only_sinks[0])
-    for loop in loops:
-        if not has_exit(g, loop):
-            return SimpleClass("CycleNoExitType", loop)
+    for c in g.components:
+        if c.kind == "cycle" and not c.has_exit:
+            # each member emits one edge: follow it from the least one
+            edges = [g.out_edges(c.members[0])[0]]
+            while g.edge_target(edges[-1]) != c.members[0]:
+                edges.append(g.out_edges(g.edge_target(edges[-1]))[0])
+            return SimpleClass("CycleNoExitType", Path(g, tuple(edges)))
+    if is_acyclic(g):  # a cofinal acyclic graph drains into one sink, the last
+        return SimpleClass("SinkType", g.components[-1].members[0])
     return SimpleClass("LoopsWithExitType", None)
 
 

@@ -20,7 +20,12 @@ from typing import Optional, Union
 from .errors import CapExceeded
 from .graphs import Graph, is_acyclic
 from .elements import MonoidElement
-from .certificates import Certificate, distinctness_certificate, leq_obstruction
+from .certificates import (
+    Certificate,
+    check_certificate,
+    distinctness_certificate,
+    leq_obstruction,
+)
 from .rewriting import (
     DEFAULT_DEPTH,
     DEFAULT_REDUCT_CAP,
@@ -157,7 +162,8 @@ class _Sweep:
         )
 
     def confirm_not_le(self, x: MonoidElement, y: MonoidElement) -> bool:
-        return leq_obstruction(x, y) is not None
+        cert = leq_obstruction(x, y)
+        return cert is not None and check_certificate(cert, x, y)
 
 
 def _too_large(g: Graph, name: str, bounds: dict, cap: int):

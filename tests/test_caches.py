@@ -16,7 +16,7 @@ def _graph(i):
 CACHES = [
     (certificates._closure, lambda g: (g, frozenset({g.vertex_order[0]}))),
     (certificates._restriction, lambda g: (g, frozenset(g.vertices))),
-    (certificates._restriction_quotients, lambda g: (g, frozenset(g.vertices))),
+    (certificates._states, lambda g: (g, frozenset(g.vertices))),
     (ktheory.grothendieck_group, lambda g: (g,)),
 ]
 

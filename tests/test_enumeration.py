@@ -464,7 +464,7 @@ def test_ideal_membership_multiple_needed():
     # refutes one copy, not the ideal
     assert gm.ideal_membership(3 * w, v) == ("member", (2, w))
     cert = gm.leq_obstruction(3 * w, v)
-    assert cert.invariant == "restriction-sink-dominance"
+    assert cert.invariant == "state"
     assert gm.check_certificate(cert, 3 * w, v)
 
 

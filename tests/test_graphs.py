@@ -186,33 +186,51 @@ def test_cofinal(abcd, ladder, fork):
     assert gm.is_cofinal(Graph(("v",), ()))
 
 
-def test_simple_loops(abcd):
-    loops = gm.simple_loops(abcd)
-    assert [p.edge_indices for p in loops] == [(0,), (1,), (4,), (5,)]
-    assert all(p.is_loop() for p in loops)
+def _kinds(g):
+    return {c.members: (c.kind, c.has_exit) for c in g.components}
 
 
-def test_simple_loops_two_cycle():
+def test_component_kinds(abcd):
+    # a's two loops have no way out; c's two loops exit to d
+    assert _kinds(abcd) == {
+        ("a",): ("cyclic", False),
+        ("b",): ("acyclic", True),
+        ("c",): ("cyclic", True),
+        ("d",): ("sink", False),
+    }
+
+
+def test_component_kinds_two_cycle():
     g = Graph(("a", "b"), (("a", "b"), ("b", "a")))
-    loops = gm.simple_loops(g)
-    assert [p.edge_indices for p in loops] == [(0, 1)]
+    assert _kinds(g) == {("a", "b"): ("cycle", False)}
 
 
-def test_has_exit(abcd):
-    loops = gm.simple_loops(abcd)
-    # the parallel loop and c->d are exits
-    assert all(gm.has_exit(abcd, p) for p in loops)
-    lone = make_bouquet(1)
-    assert not gm.has_exit(lone, gm.simple_loops(lone)[0])
+def test_has_exit():
+    assert _kinds(make_bouquet(1)) == {("v",): ("cycle", False)}
+    g = Graph(("a", "b"), (("a", "a"), ("a", "b")))
+    assert _kinds(g) == {("a",): ("cycle", True), ("b",): ("sink", False)}
 
 
 def test_topological_order(ladder):
-    order = gm.topological_order(ladder)
-    pos = {v: k for k, v in enumerate(order)}
-    for src, dst in ladder.edges:
-        assert pos[src] < pos[dst]
-    with pytest.raises(ValueError):
-        gm.topological_order(make_bouquet(1))
+    assert [c.members for c in ladder.components] == [("p1",), ("p2",), ("x",)]
+    for g in corpus():
+        pos = {v: k for k, c in enumerate(g.components) for v in c.members}
+        for src, dst in g.edges:
+            assert pos[src] <= pos[dst]
+        for v in g.vertices:
+            # v's component: the vertices v reaches that reach v back
+            mutual = {w for w in gm.tree(g, v) if v in gm.tree(g, w)}
+            assert set(g.components[pos[v]].members) == mutual
+
+
+def test_components_of_a_long_chain_need_no_deep_recursion():
+    names = [f"v{i:04d}" for i in range(3000)]
+    g = Graph(names, tuple(zip(names, names[1:])))
+    comps = g.components
+    assert [c.members[0] for c in comps] == names
+    assert [c.kind for c in comps[-2:]] == ["acyclic", "sink"]
+    looped = Graph(names, tuple(zip(names, names[1:])) + ((names[-1], names[0]),))
+    assert [(len(c.members), c.kind) for c in looped.components] == [(3000, "cycle")]
 
 
 def test_is_acyclic(abcd, ladder):
@@ -227,6 +245,8 @@ def test_sink_distribution(ladder):
     assert out == {"x": 5}
     with pytest.raises(ValueError):
         gm.sink_distribution(ladder, {"p1": -1})
+    with pytest.raises(ValueError, match="graph has a cycle"):
+        gm.sink_distribution(make_bouquet(1), {"v": 1})
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Hereditary saturated subsets: lattice, quotients, composition series."""
 
+import random
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 import graphmonoid as gm
 from graphmonoid import CapExceeded, Graph, HSatSet
 
-from conftest import corpus, make_abcd, make_bouquet, make_ladder
+from conftest import corpus, make_abcd, make_bouquet, make_ladder, small_graphs
 
 ABCD = make_abcd()
 
@@ -238,6 +239,93 @@ def test_classify_rejects_non_simple():
         gm.classify_simple(ABCD)  # not cofinal
     with pytest.raises(ValueError):
         gm.classify_simple(Graph((), ()))
+
+
+def _ref_simple_loops(g):
+    # the retired enumeration, kept as the reference: every loop with
+    # pairwise distinct sources, from its least vertex, sorted
+    order = g.vertex_index
+    loops = []
+
+    def extend(start, current, path, seen):
+        for i in g.out_edges(current):
+            t = g.edge_target(i)
+            if t == start:
+                loops.append(gm.Path(g, tuple(path + [i])))
+            elif t not in seen and order[t] > order[start]:
+                extend(start, t, path + [i], seen | {t})
+
+    for start in g.vertex_order:
+        extend(start, start, [], {start})
+    loops.sort(key=lambda p: (p.visited, p.edge_indices))
+    return loops
+
+
+def _ref_classify(g):
+    if not g.vertices:
+        raise ValueError("empty graph has no classification")
+    if not gm.is_cofinal(g):
+        raise ValueError("graph is not cofinal")
+    loops = _ref_simple_loops(g)
+    if not loops:
+        only_sinks = sorted(gm.sinks(g))
+        if len(only_sinks) != 1:
+            raise ValueError("cofinal acyclic graph must have a unique sink")
+        return gm.SimpleClass("SinkType", only_sinks[0])
+    for loop in loops:
+        on_loop = set(loop.edge_indices)
+        if all(i in on_loop for v in loop.visited for i in g.out_edges(v)):
+            return gm.SimpleClass("CycleNoExitType", loop)
+    return gm.SimpleClass("LoopsWithExitType", None)
+
+
+def _check_classify_against_loops(g):
+    # the graph itself, and the simple step graphs of its series
+    graphs = [g] + [step.graph for step in gm.composition_series(g).steps]
+    for h in graphs:
+        try:
+            expected = _ref_classify(h)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                gm.classify_simple(h)
+        else:
+            assert gm.classify_simple(h) == expected
+
+
+def test_classify_matches_simple_loops_on_corpus():
+    rng = random.Random(4)
+    for g in corpus():
+        _check_classify_against_loops(g)
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 6))]
+        edges = [
+            (rng.choice(names), rng.choice(names))
+            for _ in range(rng.randint(0, 2 * len(names)))
+        ]
+        _check_classify_against_loops(Graph(names, edges))
+
+
+@given(small_graphs())
+def test_classify_matches_simple_loops_on_random_graphs(g):
+    _check_classify_against_loops(g)
+
+
+def _complete_digraph(n):
+    names = [f"v{i}" for i in range(n)]
+    return Graph(names, [(a, b) for a in names for b in names if a != b])
+
+
+def test_classify_complete_digraph_lists_no_loops(monkeypatch):
+    # 125 664 simple loops; the components answer without listing one
+    def enumerate_loops(*args):
+        raise AssertionError("simple loops enumerated")
+
+    for module in (gm.graphs, gm.lattice):
+        monkeypatch.setattr(module, "simple_loops", enumerate_loops, raising=False)
+    g = _complete_digraph(9)
+    assert gm.classify_simple(g) == gm.SimpleClass("LoopsWithExitType", None)
+    series = gm.composition_series(g)
+    assert [s.classification.kind for s in series.steps] == ["LoopsWithExitType"]
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ def _samples():
         ABCD,
         el("2*a + d"),
         gm.Path(ABCD, (0, 1)),
+        ABCD.components[0],
         distinct.certificate,
         gm.relation_matrix(ABCD),
         gm.grothendieck_group(ABCD),
@@ -93,7 +94,7 @@ def test_samples_cover_every_value_type():
         and obj.__module__ == mod.__name__
         and obj.__dict__.get("__setattr__") is records.frozen_setattr
     }
-    assert len(found) == 22
+    assert len(found) == 23
     assert found == set(IDS)
 
 

@@ -227,6 +227,11 @@ def test_check_certificate_rejects_retired_kinds():
     s = gm.vertex_element(LOOP_EXIT, "s")
     reducts = gm.Certificate("disjoint-reducts", None, ((1, 0),), ((2, 0),))
     assert not gm.check_certificate(reducts, s, 2 * s)
+    # sink weights on an acyclic quotient: a state now carries them
+    d = el(ABCD, "d")
+    sink = gm.Certificate("restriction-sink-dominance", ("d",), (2,), (1,))
+    assert not gm.check_certificate(sink, 2 * d, d)
+    assert gm.leq_obstruction(2 * d, d).invariant == "state"
 
 
 def _check_invariant_is_complete(g):
