@@ -8,7 +8,13 @@ saturated vertex sets and the order-ideals it classifies, builds
 composition series with classified simple quotients, computes the group
 completion by integer Smith normal form, and checks order-theoretic
 properties within explicit bounds.
+
+The class-model layer (``knuth_bendix``, ``enumeration`` and
+``properties``) is imported the first time one of its names is used, so
+a process that never asks a class-model question does not compile it.
 """
+
+import importlib
 
 from .errors import (
     CapExceeded,
@@ -102,28 +108,6 @@ from .lattice import (
     quotient_graph,
     restriction_graph,
     validate_series,
-)
-from .enumeration import (
-    DEFAULT_CLASS_CAP,
-    ClassModel,
-    bounded_class_count,
-    class_model,
-    ideal_membership,
-    quotient_bounded_class_count,
-)
-from .properties import (
-    DEFAULT_N_BOUND,
-    DEFAULT_SIZE_BOUND,
-    LeqFalse,
-    LeqTrue,
-    LeqUnknown,
-    PropertyReport,
-    check_refinement,
-    check_separativity,
-    check_unperforation,
-    is_prime,
-    leq,
-    primes_up_to,
 )
 
 __version__ = "0.1.0"
@@ -227,3 +211,39 @@ __all__ = [
     "vertex_element",
     "zero",
 ]
+
+# the class-model names and their modules, resolved on first use by
+# ``__getattr__`` (PEP 562)
+_LAZY = {
+    "DEFAULT_CLASS_CAP": "enumeration",
+    "ClassModel": "enumeration",
+    "bounded_class_count": "enumeration",
+    "class_model": "enumeration",
+    "ideal_membership": "enumeration",
+    "quotient_bounded_class_count": "enumeration",
+    "DEFAULT_N_BOUND": "properties",
+    "DEFAULT_SIZE_BOUND": "properties",
+    "LeqFalse": "properties",
+    "LeqTrue": "properties",
+    "LeqUnknown": "properties",
+    "PropertyReport": "properties",
+    "check_refinement": "properties",
+    "check_separativity": "properties",
+    "check_unperforation": "properties",
+    "is_prime": "properties",
+    "leq": "properties",
+    "primes_up_to": "properties",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -22,7 +22,6 @@ from .rewriting import (
     Distinct,
     Equal,
     RewriteTrace,
-    Unknown,
     decide_eq,
 )
 from .certificates import Certificate
@@ -35,18 +34,9 @@ from .lattice import (
     validate_series,
 )
 from .ktheory import grothendieck_group, matricial_filtration
-from .properties import (
-    DEFAULT_N_BOUND,
-    check_refinement,
-    check_separativity,
-    check_unperforation,
-)
 
-_PROPERTY_CHECKS = {
-    "separativity": check_separativity,
-    "unperforation": check_unperforation,
-    "refinement": check_refinement,
-}
+# ``check --props`` names; each runs ``properties.check_<name>``
+_PROPERTY_CHECKS = ("separativity", "unperforation", "refinement")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +101,7 @@ def _build_parser() -> _Parser:
         help="comma separated subset of: " + ", ".join(_PROPERTY_CHECKS),
     )
     chk.add_argument("--size-bound", type=int)
-    chk.add_argument("--n-bound", type=int, default=DEFAULT_N_BOUND)
+    chk.add_argument("--n-bound", type=int)
 
     add("show", "parse a graph and print it back")
     return parser
@@ -362,6 +352,9 @@ def _run_filtration(args) -> int:
 
 
 def _run_check(args) -> int:
+    # the class-model layer is imported only by the one command that asks it
+    from . import properties
+
     g = _load_graph(args.graph)
     names = [p.strip() for p in args.props.split(",") if p.strip()]
     if not names:
@@ -371,11 +364,14 @@ def _run_check(args) -> int:
             raise ValueError(f"unknown property {name!r}")
     reports = []
     for name in names:
-        # refinement has its own default size bound and no scale
-        bounds = {} if name == "refinement" else {"n_bound": args.n_bound}
+        # bounds not given keep each sweep's own defaults; refinement
+        # has no scale
+        bounds = {}
+        if args.n_bound is not None and name != "refinement":
+            bounds["n_bound"] = args.n_bound
         if args.size_bound is not None:
             bounds["size_bound"] = args.size_bound
-        reports.append(_PROPERTY_CHECKS[name](g, **bounds))
+        reports.append(getattr(properties, f"check_{name}")(g, **bounds))
     if args.fmt == "json":
         _emit_json(
             {

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import GraphFormatError
 from .records import frozen_delattr, frozen_setattr, record

@@ -198,6 +198,16 @@ def test_check_size_bound_reaches_every_property(abcd_file, capsys):
     assert [r["bounds"]["size_bound"] for r in reports] == [2, 2]
 
 
+def test_check_n_bound_defaults_to_each_sweep_scale(abcd_file, capsys):
+    argv = ["check", abcd_file, "--format", "json"]
+    _, out, _ = run(capsys, *argv)
+    reports = json.loads(out)["reports"]
+    assert [r["property"] for r in reports] == ["separativity", "unperforation"]
+    assert [r["bounds"]["scale"] for r in reports] == [3, 3]
+    _, out, _ = run(capsys, *argv, "--n-bound", "2")
+    assert [r["bounds"]["scale"] for r in json.loads(out)["reports"]] == [2, 2]
+
+
 def test_check_unknown_exit(tmp_path, capsys):
     g = gm.Graph(tuple(f"v{i}" for i in range(11)), (("v0", "v0"),))
     path = tmp_path / "wide.graph"
