@@ -32,8 +32,12 @@ from .rewriting import (
     Distinct,
     DistinctSums,
     Equal,
+    RewriteTrace,
     Unknown,
-    _dominance_search,
+    _check_bounds,
+    _difference,
+    _dominance_match,
+    _search,
     decide_eq,
     refine,
 )
@@ -86,17 +90,22 @@ def leq(
 
     Obstruction certificates are consulted first.  Then ``x`` is below
     ``y`` exactly when a reduct ``x'`` of ``x`` lies pointwise below one,
-    ``g``, of ``y`` (``split`` carries ``x + z`` to a reduct of ``y``),
-    and the witness is ``g - x'``: the normal forms on acyclic graphs, or
-    a search of ``depth`` moves and ``reduct_cap`` states per side.
+    ``g``, of ``y``; the witness is ``g - x'``, and ``decide_eq``'s search
+    finds the pair with a dominance match (the normal forms on acyclic
+    graphs).  A negative ``depth`` or a ``reduct_cap`` below one raises
+    ValueError.
     """
+    _check_bounds(depth, reduct_cap)
     obstruction = leq_obstruction(x, y)
     if obstruction is not None:
         return LeqFalse(obstruction)
-    found = _dominance_search(x, y, depth, reduct_cap)
+    found = _search(x, y, depth, reduct_cap, _dominance_match)
     if isinstance(found, Unknown):
         return LeqUnknown(found.depth)
-    return LeqTrue(*found)
+    lhs, rhs = found
+    z = _difference(rhs.end, lhs.end)
+    shifted = RewriteTrace(x + z, tuple((v, s + z) for v, s in lhs.steps))
+    return LeqTrue(z, Equal(rhs.end, shifted, rhs))
 
 
 # ----------------------------------------------------------------------

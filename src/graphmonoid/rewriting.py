@@ -4,30 +4,33 @@ The monoid presented by a graph identifies each non-sink vertex with the
 sum of its edge targets.  Working in the free monoid, a single move
 replaces one occurrence of a non-sink ``v`` by that sum; every move is
 read from the graph's move table, ``Graph.moves``, and one level-by-level
-expansion serves every search here (``reduct_set``,
-``exhaustive_reducts``, both sides of ``decide_eq`` and of the dominance
-search behind ``leq``).  Two elements
-represent the same monoid class exactly when some chain of moves links
-them.  Moves never shrink an element and distinct moves from a common
-element rejoin in one further move each, so two equivalent elements
-always share a common reduct: the word problem reduces to a forward
-search from both sides.
+expansion serves every search here.  Two elements represent the same
+monoid class exactly when some chain of moves links them.  Moves never
+shrink an element and distinct moves from a common element rejoin in
+one further move each, so equivalent elements share a reduct, and ``x``
+lies below ``y`` in the algebraic order exactly when a reduct of ``x``
+lies pointwise below one of ``y``.  So ``decide_eq`` and
+``properties.leq`` run one forward search from both sides, ``_search``,
+with different tests for where the sides meet; on an acyclic graph it
+takes the traces to the normal forms.
 
 ``decide_eq`` returns one of three verdicts.  ``Equal`` carries the
 shared reduct and a replayable trace for each side; ``Distinct`` carries
 a :class:`~graphmonoid.certificates.Certificate`; ``Unknown`` reports
-the exhausted search depth.  A verdict is never guessed: every positive
-answer is a pair of checkable traces and every negative answer is a
-checkable invariant.  "Distinct" is exact on every graph, since the
-certificates separate every inequivalent pair before any search starts;
-``Unknown`` means only that the search for a shared reduct ran out.
+the level at which a cap or the depth stopped the search.  A verdict is
+never guessed: every positive answer is a pair of checkable traces and
+every negative answer is a checkable invariant.  "Distinct" is exact on
+every graph, since the certificates separate every inequivalent pair
+before any search starts; ``Unknown`` means only that the search for a
+shared reduct ran out.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Optional, Union
+import sys
+from typing import Callable, Optional, Union
 
 from .errors import CapExceeded
 from .graphs import Graph, Move, is_acyclic, sink_distribution
@@ -82,24 +85,19 @@ def successors(x: MonoidElement) -> list[tuple[str, MonoidElement]]:
     ]
 
 
-def _expand(
-    frontier: list, parents: dict, cap: int, other=()
-) -> tuple[list, bool, list]:
+def _expand(frontier: list, parents: dict, cap: int) -> tuple[list, bool]:
     # one move deeper: every new reduct of the frontier is recorded in
     # ``parents`` with the state and vertex it came from.  Returns the
-    # new frontier, whether the cap cut the expansion short, and the new
-    # reducts that also lie in ``other``.
-    nxt, hits = [], []
+    # new frontier and whether the cap cut the expansion short.
+    nxt = []
     for e in frontier:
         for v, s in successors(e):
             if s not in parents:
                 if len(parents) >= cap:
-                    return nxt, True, hits
+                    return nxt, True
                 parents[s] = (e, v)
                 nxt.append(s)
-                if s in other:
-                    hits.append(s)
-    return nxt, False, hits
+    return nxt, False
 
 
 def reduct_set(
@@ -111,7 +109,7 @@ def reduct_set(
     parents: dict = {x: None}
     frontier = [x]
     for _ in range(depth):
-        frontier, capped, _ = _expand(frontier, parents, cap)
+        frontier, capped = _expand(frontier, parents, cap)
         if capped:
             raise CapExceeded(f"reduct set exceeds cap {cap}")
         if not frontier:
@@ -123,13 +121,11 @@ def exhaustive_reducts(
     x: MonoidElement, cap: int = DEFAULT_REDUCT_CAP
 ) -> Optional[frozenset]:
     """The full reachable set of ``x``, or None if it outgrows the cap."""
-    parents: dict = {x: None}
-    frontier = [x]
-    while frontier:
-        frontier, capped, _ = _expand(frontier, parents, cap)
-        if capped:
-            return None
-    return frozenset(parents)
+    # no depth bound: the frontier empties or the cap is hit first
+    try:
+        return reduct_set(x, sys.maxsize, cap)
+    except CapExceeded:
+        return None
 
 
 def normal_form(x: MonoidElement) -> MonoidElement:
@@ -241,41 +237,72 @@ def _trace_to(
     return RewriteTrace(root, tuple(steps))
 
 
-def _bfs_meet(
-    x: MonoidElement, y: MonoidElement, depth: int, reduct_cap: int
-) -> Verdict:
-    parents_x: dict = {x: None}
-    parents_y: dict = {y: None}
-    frontier_x, frontier_y = [x], [y]
-    capped_x = capped_y = False
+class _Exhausted(Unknown):
+    """Both sides ran out of reducts, with no cap hit, before they met."""
 
-    def equal_via(meet: MonoidElement) -> Equal:
-        return Equal(
-            meet, _trace_to(parents_x, x, meet), _trace_to(parents_y, y, meet)
-        )
 
+def _equal_match(new: list, other: dict, side: int) -> Optional[tuple]:
+    # the least new reduct by (size, counts) that the other side holds
+    hits = [s for s in new if s in other]
+    meet = min(hits, key=lambda e: (e.size, e.counts), default=None)
+    return None if meet is None else (meet, meet)
+
+
+def _dominance_match(new: list, other: dict, side: int) -> Optional[tuple]:
+    # the first pair, in product order, whose x-side reduct lies
+    # pointwise below its y-side one
+    below = operator.ge if side else operator.le
+    for a, b in itertools.product(new, other):
+        if all(map(below, a.counts, b.counts)):
+            return a, b
+    return None
+
+
+def _search(
+    x: MonoidElement,
+    y: MonoidElement,
+    depth: int,
+    reduct_cap: int,
+    match: Callable[[list, dict, int], Optional[tuple]],
+) -> Union[tuple[RewriteTrace, RewriteTrace], Unknown]:
+    """Traces from ``x`` and ``y`` to a meeting pair of reducts: the normal
+    forms on an acyclic graph, else the roots or the first pair that
+    ``match(new, other, side)`` draws from one side's new reducts and the
+    other side's reducts.  Unknown when a cap or ``depth`` stops the
+    search, ``_Exhausted`` when both sides run out first."""
+    if is_acyclic(x.graph):
+        return _normalizing_trace(x), _normalizing_trace(y)
+    parents = ({x: None}, {y: None})
+    frontiers = [[x], [y]]
+    capped = [False, False]
+
+    def traces(pair: tuple, side: int) -> tuple[RewriteTrace, RewriteTrace]:
+        s, t = pair[::-1] if side else pair
+        return _trace_to(parents[0], x, s), _trace_to(parents[1], y, t)
+
+    pair = match([x], parents[1], 0)
+    if pair is not None:
+        return traces(pair, 0)
     for level in range(depth):
-        if not capped_x:
-            frontier_x, capped_x, hits = _expand(
-                frontier_x, parents_x, reduct_cap, parents_y
+        for side in (0, 1):
+            if capped[side]:
+                continue
+            frontiers[side], capped[side] = _expand(
+                frontiers[side], parents[side], reduct_cap
             )
-            if hits:
-                return equal_via(min(hits, key=lambda e: (e.size, e.counts)))
-        if not capped_y:
-            frontier_y, capped_y, hits = _expand(
-                frontier_y, parents_y, reduct_cap, parents_x
-            )
-            if hits:
-                return equal_via(min(hits, key=lambda e: (e.size, e.counts)))
-        done_x = capped_x or not frontier_x
-        done_y = capped_y or not frontier_y
-        if done_x and done_y:
-            if capped_x or capped_y:
-                return Unknown(level + 1)
-            # both reachable sets fully enumerated and disjoint: the
-            # classes differ, which the certificates should have caught
-            raise RuntimeError("invariant missed a distinct pair")
+            pair = match(frontiers[side], parents[1 - side], side)
+            if pair is not None:
+                return traces(pair, side)
+        if (capped[0] or not frontiers[0]) and (capped[1] or not frontiers[1]):
+            return (Unknown if any(capped) else _Exhausted)(level + 1)
     return Unknown(depth)
+
+
+def _check_bounds(depth: int, reduct_cap: int) -> None:
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if reduct_cap < 1:
+        raise ValueError("reduct cap must be positive")
 
 
 def decide_eq(
@@ -287,34 +314,29 @@ def decide_eq(
     """Decide whether two elements present the same monoid class.
 
     Invariant certificates are consulted before any search, and they
-    separate every inequivalent pair, so Distinct is exact.  On acyclic
-    graphs the answer is always Equal or Distinct; elsewhere a two-sided
-    search up to ``depth`` moves per side looks for a shared reduct of an
-    equivalent pair and returns Unknown when resources run out first.
+    separate every inequivalent pair, so Distinct is exact.  The shared
+    search joins an equivalent pair at its normal forms on acyclic graphs,
+    elsewhere at the least shared reduct within ``depth`` moves and
+    ``reduct_cap`` states per side, or returns Unknown.  A negative
+    ``depth`` or a ``reduct_cap`` below one raises ValueError.
     """
+    _check_bounds(depth, reduct_cap)
     if x.graph != y.graph:
         raise ValueError("elements belong to different graphs")
     if x == y:
         return Equal(x, RewriteTrace(x), RewriteTrace(y))
-    if x.is_zero or y.is_zero:
-        cert = distinctness_certificate(x, y)
-        if cert is None:
-            raise RuntimeError("zero separation lost")
-        return Distinct(cert)
-    if is_acyclic(x.graph):
-        nx, ny = normal_form(x), normal_form(y)
-        if nx == ny:
-            return Equal(nx, _normalizing_trace(x), _normalizing_trace(y))
-        cert = distinctness_certificate(x, y)
-        if cert is None:
-            # impossible: on acyclic graphs the group completion is free
-            # on the sinks and separates distinct normal forms
-            raise RuntimeError("missing certificate for distinct normal forms")
-        return Distinct(cert)
     cert = distinctness_certificate(x, y)
     if cert is not None:
         return Distinct(cert)
-    return _bfs_meet(x, y, depth, reduct_cap)
+    found = _search(x, y, depth, reduct_cap, _equal_match)
+    if isinstance(found, tuple) and found[0].end == found[1].end:
+        return Equal(found[0].end, *found)
+    if type(found) is Unknown:
+        return found
+    raise RuntimeError(
+        "exhausted without a cap, or normal forms differ, "
+        "yet no certificate separated the pair"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -369,45 +391,6 @@ def _difference(p: MonoidElement, q: MonoidElement) -> MonoidElement:
     return MonoidElement(
         p.graph, tuple(a - b for a, b in zip(p.counts, q.counts))
     )
-
-
-def _dominance_search(
-    x: MonoidElement, y: MonoidElement, depth: int, reduct_cap: int
-) -> Union[tuple[MonoidElement, Equal], Unknown]:
-    """The witness ``g - x'`` of ``x`` below ``y``, and its proof, from the
-    first reduct ``x'`` of ``x`` found pointwise below a reduct ``g`` of ``y``."""
-    parents_x: dict = {x: None}
-    parents_y: dict = {y: None}
-
-    def proof(lhs: RewriteTrace, rhs: RewriteTrace):
-        z = _difference(rhs.end, lhs.end)
-        shifted = RewriteTrace(x + z, tuple((v, s + z) for v, s in lhs.steps))
-        return z, Equal(rhs.end, shifted, rhs)
-
-    def traces(s: MonoidElement, t: MonoidElement):
-        return proof(_trace_to(parents_x, x, s), _trace_to(parents_y, y, t))
-
-    if is_acyclic(x.graph):
-        # the caller compared the sink weights of the normal forms
-        return proof(_normalizing_trace(x), _normalizing_trace(y))
-    if all(map(operator.le, x.counts, y.counts)):
-        return traces(x, y)
-    frontier_x, frontier_y = [x], [y]
-    capped_x = capped_y = False
-    for level in range(depth):
-        if not capped_x:
-            frontier_x, capped_x, _ = _expand(frontier_x, parents_x, reduct_cap)
-            for s, t in itertools.product(frontier_x, parents_y):
-                if all(map(operator.le, s.counts, t.counts)):
-                    return traces(s, t)
-        if not capped_y:
-            frontier_y, capped_y, _ = _expand(frontier_y, parents_y, reduct_cap)
-            for t, s in itertools.product(frontier_y, parents_x):
-                if all(map(operator.le, s.counts, t.counts)):
-                    return traces(s, t)
-        if (capped_x or not frontier_x) and (capped_y or not frontier_y):
-            return Unknown(level + 1)
-    return Unknown(depth)
 
 
 def refine(

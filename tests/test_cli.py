@@ -49,6 +49,23 @@ def test_eq_unknown(abcd_file, capsys):
     assert "unknown" in out
 
 
+@pytest.mark.parametrize(
+    "lhs, rhs, flag, value, message",
+    [
+        ("a", "2*a", "--depth", "-3", "depth must be nonnegative"),
+        ("a", "a", "--depth", "-1", "depth must be nonnegative"),
+        ("a", "2*a", "--reduct-cap", "0", "reduct cap must be positive"),
+    ],
+)
+def test_eq_rejects_bad_search_bounds(tmp_path, capsys, lhs, rhs, flag, value, message):
+    path = tmp_path / "t.graph"
+    path.write_text("vertex a\nvertex b\nedge a a\nedge a b\nedge b a\n")
+    code, out, err = run(capsys, "eq", str(path), lhs, rhs, flag, value)
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 def test_eq_json_payload(abcd_file, capsys):
     code, out, _ = run(capsys, "eq", abcd_file, "--format", "json", "b", "a+c")
     assert code == 0

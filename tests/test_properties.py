@@ -72,6 +72,27 @@ def test_leq_zero_below_everything():
     assert gm.leq(gm.zero(ABCD), el("a")).verdict == "true"
 
 
+def test_leq_rejects_negative_depth_and_empty_cap():
+    # a loop at a and a two-cycle through b
+    g = Graph(("a", "b"), (("a", "a"), ("a", "b"), ("b", "a")))
+    a, ab = gm.parse_element(g, "a"), gm.parse_element(g, "a + b")
+    for x, y in ((2 * a, ab), (a, a)):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            gm.leq(x, y, depth=-1)
+        with pytest.raises(ValueError, match="reduct cap must be positive"):
+            gm.leq(x, y, reduct_cap=0)
+
+
+def test_leq_without_obstructions_stays_unknown(monkeypatch):
+    from graphmonoid import properties
+
+    monkeypatch.setattr(properties, "leq_obstruction", lambda x, y: None)
+    # one loop: 2*v and v each rewrite only to themselves, so both
+    # reduct sets run out after one level with no dominated pair
+    v = gm.vertex_element(Graph(("v",), (("v", "v"),)), "v")
+    assert repr(gm.leq(2 * v, v)) == repr(gm.LeqUnknown(1))
+
+
 @given(st.integers(0, 108), st.integers(0, 3), st.integers(0, 3))
 def test_leq_is_sound_on_witnesses(graph_idx, i, j):
     g = corpus()[graph_idx]
@@ -210,7 +231,9 @@ def _check_states_against_references(g):
                 # nor does a search find a witness (on acyclic graphs the
                 # search trusts its caller's sink weights instead)
                 if not gm.is_acyclic(g):
-                    found = gm.rewriting._dominance_search(x, y, 12, 3000)
+                    found = gm.rewriting._search(
+                        x, y, 12, 3000, gm.rewriting._dominance_match
+                    )
                     assert isinstance(found, gm.Unknown)
     # no pair the class model proves below is refuted
     model = gm.class_model(g, 4)

@@ -286,6 +286,35 @@ def test_decide_eq_unknown_under_tiny_cap():
     assert res.verdict == "unknown"
 
 
+# a loop at a and a two-cycle through b
+TWO_CYCLE = Graph(("a", "b"), (("a", "a"), ("a", "b"), ("b", "a")))
+
+
+@pytest.mark.parametrize("lhs, rhs", [("a", "a + b"), ("a", "a")])
+def test_decide_eq_rejects_negative_depth_and_empty_cap(lhs, rhs):
+    x, y = el(TWO_CYCLE, lhs), el(TWO_CYCLE, rhs)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        gm.decide_eq(x, y, -2)
+    with pytest.raises(ValueError, match="reduct cap must be positive"):
+        gm.decide_eq(x, y, reduct_cap=0)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        gm.refine(x, gm.zero(TWO_CYCLE), y, gm.zero(TWO_CYCLE), depth=-1)
+
+
+def test_decide_eq_without_certificates_fails_loudly(monkeypatch):
+    monkeypatch.setattr(gm.rewriting, "distinctness_certificate", lambda x, y: None)
+    # one loop: v and 2*v each rewrite only to themselves, so both
+    # reduct sets run out, disjoint, after one level
+    loop = Graph(("v",), (("v", "v"),))
+    v = gm.vertex_element(loop, "v")
+    with pytest.raises(RuntimeError, match="no certificate separated"):
+        gm.decide_eq(v, 2 * v)
+    # distinct normal forms on an acyclic graph
+    fork = make_fork()
+    with pytest.raises(RuntimeError, match="no certificate separated"):
+        gm.decide_eq(el(fork, "a"), el(fork, "c"))
+
+
 def test_certificates_reject_corruption():
     d, c = el(ABCD, "d"), el(ABCD, "c")
     cert = gm.decide_eq(d, c).certificate
@@ -314,6 +343,67 @@ def test_random_zigzags_stay_equal(graph_idx, seed):
     res = gm.decide_eq(a, b)
     assert res.verdict == "equal"
     assert res.lhs_trace.end == res.rhs_trace.end
+
+
+# ----------------------------------------------------------------------
+# the acyclic shortcut of the shared search, against the normal-form path
+# decide_eq and leq took before they shared it
+
+
+def _ref_normalizing_trace(x):
+    steps, current = [], x
+    while True:
+        succ = gm.successors(current)
+        if not succ:
+            return RewriteTrace(x, tuple(steps))
+        steps.append(succ[0])
+        current = succ[0][1]
+
+
+def _ref_acyclic_decide_eq(x, y):
+    if x == y:
+        return gm.Equal(x, RewriteTrace(x), RewriteTrace(y))
+    nx, ny = gm.normal_form(x), gm.normal_form(y)
+    if nx == ny:
+        return gm.Equal(nx, _ref_normalizing_trace(x), _ref_normalizing_trace(y))
+    return gm.Distinct(gm.distinctness_certificate(x, y))
+
+
+def _ref_acyclic_leq(x, y):
+    cert = gm.leq_obstruction(x, y)
+    if cert is not None:
+        return gm.LeqFalse(cert)
+    lhs, rhs = _ref_normalizing_trace(x), _ref_normalizing_trace(y)
+    z = gm.MonoidElement(
+        x.graph, tuple(b - a for a, b in zip(lhs.end.counts, rhs.end.counts))
+    )
+    shifted = RewriteTrace(x + z, tuple((v, s + z) for v, s in lhs.steps))
+    return gm.LeqTrue(z, gm.Equal(rhs.end, shifted, rhs))
+
+
+def _check_acyclic_shortcut(g):
+    elements = list(gm.elements_up_to(g, 2))
+    for x in elements:
+        for y in elements:
+            assert repr(gm.decide_eq(x, y)) == repr(_ref_acyclic_decide_eq(x, y))
+            assert repr(gm.leq(x, y)) == repr(_ref_acyclic_leq(x, y))
+
+
+def _forward_edges(g):
+    # keep the edges that run up the vertex order: an acyclic graph
+    return Graph(g.vertices, tuple((u, v) for u, v in g.edges if u < v))
+
+
+def test_acyclic_shortcut_on_corpus():
+    acyclic = [g for g in corpus() if gm.is_acyclic(g)]
+    assert acyclic
+    for g in acyclic:
+        _check_acyclic_shortcut(g)
+
+
+@given(small_graphs().map(_forward_edges))
+def test_acyclic_shortcut_on_random_graphs(g):
+    _check_acyclic_shortcut(g)
 
 
 # ----------------------------------------------------------------------
